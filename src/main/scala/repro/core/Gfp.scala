@@ -85,8 +85,7 @@ object Gbp {
     * leaf set, plus push count.
     */
   def credits(g: LocalGraph, targetLeaves: Array[Int], alpha: Double,
-              rbmax: Double, deadline: Deadline = Deadline.none,
-              opBudget: Long = Long.MaxValue): (Array[Double], Long) = {
+              rbmax: Double, deadline: Deadline = Deadline.none): (Array[Double], Long) = {
     val n       = g.n
     val residue = new Array[Double](n)
     val credit  = new Array[Double](n)
@@ -99,7 +98,7 @@ object Gbp {
       if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
     }
     var pushes = 0L
-    while (!queue.isEmpty && pushes < opBudget) {
+    while (!queue.isEmpty) {
       if ((pushes & 0x3ff) == 0) deadline.check()
       val vk = queue.poll().intValue(); inQueue(vk) = false
       val r  = residue(vk)

@@ -47,7 +47,9 @@ object SuperQuery {
     require(children.nonEmpty, "query needs at least one child supernode")
     val members = Array.fill(n)(-1)
     children.zipWithIndex.foreach { case (leaves, i) =>
+      require(leaves.nonEmpty, s"child supernode $i has no leaves")
       leaves.foreach { v =>
+        require(v >= 0 && v < n, s"leaf $v of child supernode $i is outside [0, $n)")
         require(members(v) == -1, s"leaf $v assigned to two supernodes")
         members(v) = i
       }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.ppr.Deadline
+import repro.ppr.{Deadline, Dpr}
 
 /** Output of Algorithm 1: the approximate level-ℓ DPPR matrix, the PDist
   * matrix derived from it via Eq. 1, and work counters.
@@ -32,6 +32,15 @@ object TauPush {
   case object Standard  extends Mode
   case object GfpTauMax extends Mode
 
+  /** The filter threshold τ = 1/√(k·n) of Line 1. */
+  def tau(k: Int, n: Int): Double = 1.0 / math.sqrt(k.toDouble * n)
+
+  /** Line 6: child V_j of a k-child query is a GBP target when its supernode
+    * DPR τ_j (Eq. 4, [[Dpr.ofSupernode]]) exceeds τ. The GBP index is built
+    * for exactly these targets of every query.
+    */
+  def isGbpTarget(tauJ: Double, k: Int, n: Int): Boolean = tauJ > tau(k, n)
+
   /** @param leafDpr   precomputed leaf DPR vector (the O(n) index of §4.3)
     * @param gbpLookup optional precomputed GBP results for a child index:
     *                  the aggregated estimates π̂_d(V_i, V_j) for every
@@ -48,15 +57,11 @@ object TauPush {
     val n = g.n
     val m = g.m.toDouble
 
-    // Supernode DPR: mean leaf DPR over F(V_j) (Eq. 4).
-    val tauJ = Array.tabulate(k) { j =>
-      var s = 0.0
-      q.children(j).foreach(v => s += leafDpr(v))
-      s / q.size(j)
-    }
+    val tauJ   = Array.tabulate(k)(j => Dpr.ofSupernode(leafDpr, q.children(j)))
+    val target = tauJ.map(isGbpTarget(_, k, n))
 
     val tau = mode match {
-      case Standard  => 1.0 / math.sqrt(k.toDouble * n)
+      case Standard  => TauPush.tau(k, n)
       case GfpTauMax => tauJ.max
     }
     // Lemma 4.1 only requires r_max <= ε·δ/(m·τ_j) for the targets GFP is
@@ -70,7 +75,7 @@ object TauPush {
     val tauCover = mode match {
       case GfpTauMax => tau
       case Standard =>
-        val covered = tauJ.filter(_ <= tau)
+        val covered = tauJ.filterNot(isGbpTarget(_, k, n))
         if (covered.isEmpty || covered.max <= 0.0) tau else covered.max
     }
     val rmax = eps * delta / (m * tauCover)
@@ -91,7 +96,7 @@ object TauPush {
       val rbmax     = eps * delta / maxAvgDeg
       var j = 0
       while (j < k) {
-        if (tauJ(j) > tau) {
+        if (target(j)) {
           gbpTargets += 1
           val refined = gbpLookup(j).getOrElse {
             val (c, p) = Gbp.credits(g, q.children(j), alpha, rbmax, deadline)

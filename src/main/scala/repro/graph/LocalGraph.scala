@@ -1,14 +1,11 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Immutable CSR graph with both out- and in-adjacency.
   *
   * This is the substrate for the push algorithms (Forward-Push, Backward-Push,
   * GFP, GBP): interactive queries in the paper touch `k <= 100` supernodes and
   * must answer in well under a second, so — like the paper's single-thread
-  * evaluation — they run on a collected CSR. The Spark dataflow layer
-  * ([[GraphOps]]) produces and consumes the same edge sets as DataFrames.
+  * evaluation — they run on a collected CSR.
   *
   * Invariants guaranteed by the constructors:
   *   - node ids are `0 until n`;
@@ -52,14 +49,6 @@ final class LocalGraph private[graph] (
   /** All arcs as (src, dst) pairs. */
   def arcs: Iterator[(Int, Int)] =
     (0 until n).iterator.flatMap(v => outNeighbors(v).iterator.map(v -> _))
-
-  /** Edge set as a Spark DataFrame with columns (src, dst) — the bridge from
-    * the local layer to the dataflow layer.
-    */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    arcs.toSeq.toDF("src", "dst")
-  }
 }
 
 object LocalGraph {
@@ -88,15 +77,6 @@ object LocalGraph {
   def undirected(n: Int, pairs: IterableOnce[(Int, Int)]): LocalGraph = {
     val both = pairs.iterator.flatMap { case (a, b) => Iterator((a, b), (b, a)) }
     fromArcs(n, both)
-  }
-
-  /** Build from a Spark edge DataFrame with integer-valued (src, dst). */
-  def fromDF(edges: DataFrame, n: Int): LocalGraph = {
-    val arcsLocal = edges
-      .selectExpr("cast(src as int) src", "cast(dst as int) dst")
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-    fromArcs(n, arcsLocal)
   }
 
   private def build(n: Int, arcs: scala.collection.Seq[(Int, Int)]): LocalGraph = {

@@ -47,14 +47,6 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     (0 until p.length).filter(p(_) == id).toArray
   }
 
-  /** Query for visualizing the children of supernode (level, id): one child
-    * supernode per level-(ℓ-1) member, carrying its leaf set.
-    */
-  def query(level: Int, id: Int): SuperQuery = {
-    val cs = childrenOf(level, id)
-    SuperQuery(g.n, cs.map(c => leafSets(level - 1)(c)))
-  }
-
   /** Query for the coarsest supergraph (the visualization the zoom-in path
     * starts from — "the supergraph on the highest level corresponds to the
     * entire graph", §7.1).
@@ -82,10 +74,6 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     }
     path.toSeq
   }
-
-  /** Queries along a zoom path. */
-  def queryAt(level: Int, id: Int): SuperQuery =
-    if (id == -1) rootQuery else query(level, id)
 
   /** Bytes needed to store the partition arrays — the hierarchy component of
     * the Table 10 index sizes.

@@ -1,7 +1,5 @@
 package repro.ppr
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.LocalGraph
 
 /** Degree-normalized PageRank (DPR, Eq. 4) — the index that drives
@@ -28,48 +26,5 @@ object Dpr {
     var i = 0
     while (i < leaves.length) { s += leafDpr(leaves(i)); i += 1 }
     s / leaves.length
-  }
-}
-
-/** DPR as an iterative Spark dataflow — the Pregel pattern expressed in
-  * Catalyst: per superstep, every node sends `(1-α)·rank/outdeg` along its
-  * out-edges (join), contributions are combined per destination
-  * (groupBy + sum), and the restart mass `α·d(v)/m` is re-added.
-  *
-  * Used by the preprocessing phase when the graph lives as a DataFrame;
-  * verified in tests against [[Dpr.vector]] and against a DuckDB oracle for
-  * the aggregation steps.
-  */
-object DprDF {
-
-  /** Returns a DataFrame (node, dpr). `iters` supersteps bound the truncation
-    * error by (1-α)^iters.
-    */
-  def run(spark: SparkSession, edges: DataFrame, n: Int, alpha: Double, iters: Int): DataFrame = {
-    val degs = edges
-      .groupBy(col("src").as("node"))
-      .agg(count(lit(1)).cast("double").as("outdeg"))
-      .cache()
-    val m = edges.count().toDouble
-    val seed = degs.select(col("node"), (col("outdeg") / m).as("seed"), col("outdeg"))
-      .cache()
-    var ranks = seed.select(col("node"), col("seed").as("dpr"))
-    var it = 0
-    while (it < iters) {
-      val contribs = edges
-        .join(seed.select(col("node").as("src"), col("outdeg")), "src")
-        .join(ranks.select(col("node").as("src"), col("dpr")), "src")
-        .select(col("dst").as("node"), (lit(1.0 - alpha) * col("dpr") / col("outdeg")).as("c"))
-        .groupBy("node")
-        .agg(sum("c").as("inmass"))
-      ranks = seed
-        .join(contribs, Seq("node"), "left_outer")
-        .select(col("node"),
-                (lit(alpha) * col("seed") + coalesce(col("inmass"), lit(0.0)) * lit(1.0)).as("dpr"))
-      // Materialize each superstep to keep the plan from growing unboundedly.
-      if (it % 5 == 4) { ranks = ranks.localCheckpoint(eager = true) }
-      it += 1
-    }
-    ranks
   }
 }

@@ -73,21 +73,10 @@ object WalkIndex {
   }
 }
 
-/** FORA+ — FORA answering the walk phase from the precomputed [[WalkIndex]]
-  * (faster query, index smaller than FORA's in the paper's Table 10 due to
-  * its tighter walk bounds; we mirror the ratio with a smaller quota).
-  */
-object ForaPlus {
-  def dppr(g: LocalGraph, src: Int, alpha: Double, eps: Double, delta: Double,
-           pf: Double, rnd: Random, index: WalkIndex,
-           deadline: Deadline = Deadline.none): Array[Double] =
-    Fora.dppr(g, src, alpha, eps, delta, pf, rnd, deadline, index)
-}
-
-/** ResAcc (Lin et al. [47]) — index-free residue-accumulation variant: keeps
-  * FORA's two-phase structure but accumulates residues across push rounds
-  * before sampling, so it needs no stored index (the 5 MiB "no index" rows of
-  * Table 10). Behavioural stand-in, see DESIGN.md §3.
+/** Stand-in for ResAcc (Lin et al. [47]): this is FORA with fresh walks and
+  * r_max halved, not Lin et al.'s residue-accumulation algorithm. Like ResAcc
+  * it stores no index (the 5 MiB "no index" rows of Table 10); see DESIGN.md
+  * §3.
   */
 object ResAcc {
   def dppr(g: LocalGraph, src: Int, alpha: Double, eps: Double, delta: Double,

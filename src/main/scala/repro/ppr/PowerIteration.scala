@@ -85,6 +85,8 @@ object Deadline {
     override def fillInStackTrace(): Throwable = this
   }
   val none: Deadline = new Deadline(Long.MaxValue)
+  /** `seconds` from now; an infinite span never expires. */
   def in(seconds: Double): Deadline =
-    new Deadline(System.nanoTime() + (seconds * 1e9).toLong)
+    if (seconds.isPosInfinity) none
+    else new Deadline(System.nanoTime() + (seconds * 1e9).toLong)
 }

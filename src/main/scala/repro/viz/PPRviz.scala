@@ -1,15 +1,13 @@
 package repro.viz
 
-import java.util.Random
 import repro.core.{Gbp, SuperQuery, TauPush, TauPushResult}
 import repro.graph.LocalGraph
 import repro.hierarchy.Hierarchy
-import repro.layout.StressMajorization
 import repro.ppr.{Deadline, Dpr}
 
 /** The PPRviz preprocessing output (Fig. 7 left): supergraph hierarchy,
-  * leaf DPR vector, and precomputed GBP results for every supernode (at any
-  * level) whose DPR exceeds τ = 1/√(k·n).
+  * leaf DPR vector, and precomputed GBP results for every supernode that
+  * Tau-Push refines by GBP in its parent's query ([[TauPush.isGbpTarget]]).
   *
   * GBP from a target V_j is query independent in its propagation, and V_j
   * appears as a child of exactly one query — its parent's — so the k
@@ -33,8 +31,8 @@ final class PprVizIndex(
 }
 
 /** PPRviz (§5): preprocessing (Louvain+ hierarchy, DPR index, GBP results)
-  * and interactive visualization (Tau-Push PDist matrix + stress
-  * majorization).
+  * and the interactive Tau-Push PDist query. [[Variants]] lays the result
+  * out and swaps the DPPR engine for the §7.4 variants.
   */
 object PPRviz {
 
@@ -51,49 +49,52 @@ object PPRviz {
   }
 
   def preprocess(g: LocalGraph, k: Int, alpha: Double = DefaultAlpha,
-                 eps: Double = DefaultEps,
-                 gbpOpBudget: Long = 30_000_000L): PprVizIndex = {
+                 eps: Double = DefaultEps): PprVizIndex = {
     val (hier, tHier) = timeSec(Hierarchy.build(g, k))
-    val (dpr, tDpr)   = timeSec(Dpr.vector(g, alpha))
-    val (agg, tGbp)   = timeSec(buildGbpAggregates(g, hier, dpr, k, alpha, eps, gbpOpBudget))
-    new PprVizIndex(hier, dpr, agg, tHier, tDpr, tGbp)
+    buildIndex(g, hier, k, alpha, eps, tHier)
   }
 
-  /** Precompute GBP results for every supernode with DPR above the filter
-    * threshold, aggregated against its parent's query (the only query it can
-    * appear in as a child). r^b_max follows Eq. 6 for that query.
-    * `opBudget` caps per-target work on the perf path (tests exercise the
-    * unbudgeted [[Gbp]]).
+  /** The DPR and GBP index on a built hierarchy; `hierSeconds` records what
+    * building the hierarchy took.
+    */
+  def buildIndex(g: LocalGraph, hier: Hierarchy, k: Int, alpha: Double,
+                 eps: Double, hierSeconds: Double): PprVizIndex = {
+    val (dpr, tDpr) = timeSec(Dpr.vector(g, alpha))
+    val (agg, tGbp) = timeSec(buildGbpAggregates(g, hier, dpr, k, alpha, eps))
+    new PprVizIndex(hier, dpr, agg, hierSeconds, tDpr, tGbp)
+  }
+
+  /** Precompute GBP results for exactly the children Tau-Push refines by GBP
+    * ([[TauPush.isGbpTarget]] with the parent query's child count),
+    * aggregated against that parent's query (the only query a supernode can
+    * appear in as a child). r^b_max follows Eq. 6 for that query. The stored
+    * array is indexed by the child order `queryWithIds` yields.
     */
   def buildGbpAggregates(g: LocalGraph, hier: Hierarchy, leafDpr: Array[Double],
-                         k: Int, alpha: Double, eps: Double,
-                         opBudget: Long): Map[(Int, Int), Array[Double]] = {
-    val tau = 1.0 / math.sqrt(k.toDouble * g.n)
+                         k: Int, alpha: Double,
+                         eps: Double): Map[(Int, Int), Array[Double]] = {
     val del = delta(k)
     val out = Map.newBuilder[(Int, Int), Array[Double]]
     var level = 0
     while (level <= hier.nLevels) {
       val sets = hier.leafSets(level)
+      // Parent -1 is the virtual root, whose query is the coarsest level.
+      val parent =
+        if (level == hier.nLevels) Array.fill(sets.length)(-1) else hier.parents(level)
+      val fanout = parent.groupMapReduce(identity)(_ => 1)(_ + _)
       // Group targets by parent so each parent query is built once.
-      val byParent = (0 until sets.length)
-        .filter(id => Dpr.ofSupernode(leafDpr, sets(id)) > tau)
-        .groupBy { id =>
-          if (level == hier.nLevels) -1 else hier.parents(level)(id)
-        }
-      byParent.foreach { case (parent, targets) =>
-        val (q, ids) =
-          if (parent == -1) queryWithIds(hier, hier.nLevels + 1, -1)
-          else queryWithIds(hier, level + 1, parent)
+      val byParent = sets.indices
+        .filter(id => TauPush.isGbpTarget(Dpr.ofSupernode(leafDpr, sets(id)),
+          fanout(parent(id)), g.n))
+        .groupBy(parent(_))
+      byParent.foreach { case (p, targets) =>
+        val (q, _)    = queryWithIds(hier, level + 1, p)
         val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
         val rbmax     = eps * del / maxAvgDeg
         targets.foreach { id =>
-          val (credit, _) = Gbp.credits(g, sets(id), alpha, rbmax, Deadline.none, opBudget)
+          val (credit, _) = Gbp.credits(g, sets(id), alpha, rbmax)
           out += ((level, id) -> Gbp.aggregate(q, credit))
         }
-        // `ids` is unused here but documents the alignment: the stored array
-        // is indexed by the same child order `queryWithIds` yields at query
-        // time, which is what makes the lookup in TauPushIndexed valid.
-        locally(ids)
       }
       level += 1
     }
@@ -119,36 +120,16 @@ object PPRviz {
                  k: Int, alpha: Double = DefaultAlpha, eps: Double = DefaultEps,
                  deadline: Deadline = Deadline.none): TauPushResult = {
     val (q, ids) = queryWithIds(index.hier, level, id)
+    tauPush(g, index, q, level, ids, k, alpha, eps, deadline)
+  }
+
+  /** Tau-Push on a built query, reading GBP targets from the index. */
+  def tauPush(g: LocalGraph, index: PprVizIndex, q: SuperQuery, level: Int,
+              ids: Array[Int], k: Int, alpha: Double, eps: Double,
+              deadline: Deadline): TauPushResult = {
     val lookup: Int => Option[Array[Double]] =
       j => index.gbpAgg.get((level - 1, ids(j)))
     TauPush.run(g, q, index.leafDpr, alpha, eps, delta(k), TauPush.Standard,
       deadline, lookup)
-  }
-
-  /** Full interactive visualization: PDist matrix + stress majorization. */
-  def visualize(g: LocalGraph, index: PprVizIndex, level: Int, id: Int, k: Int,
-                alpha: Double = DefaultAlpha, eps: Double = DefaultEps,
-                deadline: Deadline = Deadline.none,
-                layoutSeed: Long = 7): Array[Array[Double]] = {
-    val res = queryPDist(g, index, level, id, k, alpha, eps, deadline)
-    StressMajorization.layout(res.pdist, layoutSeed)
-  }
-
-  /** Average response time (seconds) over `paths` random zoom-in paths —
-    * the §7.1 response-time protocol.
-    */
-  def responseTime(g: LocalGraph, index: PprVizIndex, k: Int, paths: Int,
-                   seed: Long, deadline: Deadline = Deadline.none): Double = {
-    val rnd = new Random(seed)
-    var total = 0.0
-    var count = 0
-    (0 until paths).foreach { _ =>
-      index.hier.randomZoomPath(rnd).foreach { case (level, id) =>
-        val (_, t) = timeSec(visualize(g, index, level, id, k, deadline = deadline))
-        total += t
-        count += 1
-      }
-    }
-    total / count
   }
 }

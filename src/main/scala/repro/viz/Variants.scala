@@ -33,44 +33,42 @@ object Variants {
   val ForaQuota     = 8
   val ForaPlusQuota = 4
 
+  /** A variant's index on the shared hierarchy. Tau-Push and GFP(τ_max)
+    * keep PPRviz's own index: DPR, plus GBP aggregates for Tau-Push only.
+    */
   final case class VariantIndex(
       variant: Variant,
       hier: Hierarchy,
       bytes: Long,
       buildSeconds: Double, // index build time excluding the shared hierarchy
-      leafDpr: Option[Array[Double]],
       walkIndex: Option[WalkIndex],
-      gbp: Option[Map[(Int, Int), Array[Double]]],
+      pprviz: Option[PprVizIndex],
   )
+
+  object VariantIndex {
+    def apply(variant: Variant, ix: PprVizIndex): VariantIndex =
+      VariantIndex(variant, ix.hier, ix.sizeBytes, ix.dprSeconds + ix.gbpSeconds,
+        None, Some(ix))
+  }
 
   /** Build a variant's index on top of a shared hierarchy. */
   def buildIndex(variant: Variant, g: LocalGraph, k: Int, hier: Hierarchy,
                  alpha: Double = PPRviz.DefaultAlpha,
                  eps: Double = PPRviz.DefaultEps,
-                 gbpOpBudget: Long = 30_000_000L,
-                 seed: Long = 99): VariantIndex = {
-    val base = hier.sizeBytes
+                 seed: Long = 99): VariantIndex =
     variant match {
       case PiVar | ResAccVar =>
-        VariantIndex(variant, hier, base, 0.0, None, None, None)
-      case ForaVar | GfraVar =>
-        val (wi, t) = PPRviz.timeSec(WalkIndex.build(g, alpha, ForaQuota, seed))
-        VariantIndex(variant, hier, base + wi.sizeBytes, t, None, Some(wi), None)
-      case ForaPlusVar =>
-        val (wi, t) = PPRviz.timeSec(WalkIndex.build(g, alpha, ForaPlusQuota, seed))
-        VariantIndex(variant, hier, base + wi.sizeBytes, t, None, Some(wi), None)
+        VariantIndex(variant, hier, hier.sizeBytes, 0.0, None, None)
+      case ForaVar | ForaPlusVar | GfraVar =>
+        val quota   = if (variant == ForaPlusVar) ForaPlusQuota else ForaQuota
+        val (wi, t) = PPRviz.timeSec(WalkIndex.build(g, alpha, quota, seed))
+        VariantIndex(variant, hier, hier.sizeBytes + wi.sizeBytes, t, Some(wi), None)
       case TauPushVar =>
-        val (dpr, t1) = PPRviz.timeSec(Dpr.vector(g, alpha))
-        val (gbp, t2) = PPRviz.timeSec(
-          PPRviz.buildGbpAggregates(g, hier, dpr, k, alpha, eps, gbpOpBudget))
-        val bytes = base + 8L * g.n +
-          gbp.valuesIterator.map(a => 8L * a.length + 32L).sum
-        VariantIndex(variant, hier, bytes, t1 + t2, Some(dpr), None, Some(gbp))
+        VariantIndex(variant, PPRviz.buildIndex(g, hier, k, alpha, eps, 0.0))
       case GfpTauMaxVar =>
-        val (dpr, t1) = PPRviz.timeSec(Dpr.vector(g, alpha))
-        VariantIndex(variant, hier, base + 8L * g.n, t1, Some(dpr), None, None)
+        val (dpr, t) = PPRviz.timeSec(Dpr.vector(g, alpha))
+        VariantIndex(variant, new PprVizIndex(hier, dpr, Map.empty, 0.0, t, 0.0))
     }
-  }
 
   /** Approximate level-ℓ DPPR matrix for a query under a variant. The FORA
     * family and PI run per leaf node of the selected supernode, as the paper
@@ -93,11 +91,9 @@ object Variants {
           val leaves = q.children(i)
           leaves.foreach { s =>
             deadline.check()
-            val est = vi.variant match {
-              case ForaVar     => Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.orNull)
-              case ForaPlusVar => ForaPlus.dppr(g, s, alpha, eps, del, pf, rnd, vi.walkIndex.get, deadline)
-              case _           => ResAcc.dppr(g, s, alpha, eps, del, pf, rnd, deadline)
-            }
+            val est =
+              if (vi.variant == ResAccVar) ResAcc.dppr(g, s, alpha, eps, del, pf, rnd, deadline)
+              else Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.get)
             // Eq. 2 aggregation of the per-leaf single-source estimates.
             var v = 0
             while (v < g.n) {
@@ -111,11 +107,9 @@ object Variants {
         }
         out
       case TauPushVar =>
-        val lookup: Int => Option[Array[Double]] =
-          j => vi.gbp.get.get((level - 1, ids(j)))
-        TauPush.run(g, q, vi.leafDpr.get, alpha, eps, del, TauPush.Standard, deadline, lookup).dppr
+        PPRviz.tauPush(g, vi.pprviz.get, q, level, ids, k, alpha, eps, deadline).dppr
       case GfpTauMaxVar =>
-        TauPush.run(g, q, vi.leafDpr.get, alpha, eps, del, TauPush.GfpTauMax, deadline).dppr
+        TauPush.run(g, q, vi.pprviz.get.leafDpr, alpha, eps, del, TauPush.GfpTauMax, deadline).dppr
       case GfraVar =>
         Gfra.run(g, q, alpha, eps, del, pf, seed, deadline, vi.walkIndex.orNull)
     }

@@ -91,14 +91,6 @@ class GfpGbpSpec extends AnyFunSuite {
     (0 until q.k).foreach(i => assert(math.abs(viaCredits(i) - direct(i)) < 1e-12))
   }
 
-  test("GBP opBudget caps work") {
-    val (_, pushesFull)  = Gbp.credits(g, q.children(0), alpha, 1e-6)
-    val (_, pushesSmall) = Gbp.credits(g, q.children(0), alpha, 1e-6, opBudget = 10)
-    assert(pushesSmall <= pushesFull)
-    val maxInDeg = (0 until g.n).map(g.inDeg).max
-    assert(pushesSmall <= 10 + maxInDeg) // at most one step past the budget
-  }
-
   test("exactRow equals the per-leaf Eq. 2 aggregation") {
     val perLeaf = Dppr.perLeafMatrix(g, q, alpha)
     (0 until q.k).foreach { i =>

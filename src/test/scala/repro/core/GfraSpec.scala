@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
 import repro.hierarchy.Hierarchy
 import repro.ppr.WalkIndex
+import repro.viz.PPRviz
 
 /** Theorem A.1: GFRA's GFP + random-walk refinement meets the (ε,δ)
   * envelope with high probability (seeded runs).
@@ -42,7 +43,7 @@ class GfraSpec extends AnyFunSuite {
   }
 
   test("GFRA estimates are unbiased-ish: averaged runs approach exact") {
-    val q     = hier.query(1, 0)
+    val q     = PPRviz.queryWithIds(hier, 1, 0)._1
     val delta = 1.0 / (10.0 * q.k)
     val runs  = (0 until 5).map(s => Gfra.run(g, q, alpha, eps, delta, 0.01, seed = 100 + s))
     val exact = Dppr.exactMatrix(g, q, alpha)

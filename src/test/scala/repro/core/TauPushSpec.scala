@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
 import repro.hierarchy.Hierarchy
 import repro.ppr.{Deadline, Dpr}
+import repro.viz.PPRviz
 
 /** Theorem 4.3: Tau-Push returns (ε,δ)-approximate level-ℓ DPPR for every
   * pair of children of any selected supernode, under both modes.
@@ -38,7 +39,7 @@ class TauPushSpec extends AnyFunSuite {
 
   test("Tau-Push is (eps,delta)-approximate on every level-1 supernode query") {
     (0 until math.min(4, hier.levelSize(1))).foreach { id =>
-      check(hier.query(1, id), TauPush.Standard)
+      check(PPRviz.queryWithIds(hier, 1, id)._1, TauPush.Standard)
     }
   }
 

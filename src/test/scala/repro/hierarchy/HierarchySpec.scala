@@ -2,6 +2,7 @@ package repro.hierarchy
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, LocalGraph}
+import repro.viz.PPRviz
 
 class HierarchySpec extends AnyFunSuite {
 
@@ -49,7 +50,7 @@ class HierarchySpec extends AnyFunSuite {
 
   test("query children leaf sets union to the supernode's leaf set") {
     val id = 0
-    val q  = hier.query(1, id)
+    val q  = PPRviz.queryWithIds(hier, 1, id)._1
     assert(q.children.flatten.sorted.toSeq == hier.leafSets(1)(id).sorted.toSeq)
   }
 

@@ -1,10 +1,9 @@
 package repro.ppr
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
 
-class DprSpec extends SparkSpec {
+class DprSpec extends AnyFunSuite {
 
   private val alpha = 0.2
   private lazy val g = GraphGen.twEgo
@@ -35,35 +34,5 @@ class DprSpec extends SparkSpec {
     val dpr = Dpr.vector(pl, alpha).sorted.reverse
     // Head value orders of magnitude above the median, as on Youtube.
     assert(dpr.head > 20 * dpr(1000))
-  }
-
-  test("DprDF matches the local DPR vector") {
-    val edges = g.toDF(spark)
-    val iters = 60
-    val df = DprDF.run(spark, edges, g.n, alpha, iters).collect()
-      .map(r => r.getAs[Int]("node") -> r.getAs[Double]("dpr")).toMap
-    val local = Dpr.vector(g, alpha)
-    (0 until g.n).foreach { v =>
-      assert(math.abs(df.getOrElse(v, 0.0) - local(v)) < 1e-5, s"node $v")
-    }
-  }
-
-  test("one DprDF superstep matches the DuckDB relational algebra") {
-    val edges = g.toDF(spark)
-    val one = DprDF.run(spark, edges, g.n, alpha, 1)
-      .select(col("node"), round(col("dpr"), 6).as("dpr"))
-    val m = g.m
-    Oracle.assertEquivalent(
-      one,
-      s"""WITH degs AS (SELECT src AS node, count(*)::DOUBLE AS outdeg
-                        FROM edges GROUP BY src),
-              seed AS (SELECT node, outdeg / $m AS seed, outdeg FROM degs),
-              contrib AS (
-                SELECT e.dst AS node, sum((1 - $alpha) * s.seed / s.outdeg) AS inmass
-                FROM edges e JOIN seed s ON e.src = s.node GROUP BY e.dst)
-         SELECT s.node AS node,
-                round($alpha * s.seed + coalesce(c.inmass, 0), 6) AS dpr
-         FROM seed s LEFT JOIN contrib c ON s.node = c.node""",
-      "edges" -> edges)
   }
 }

@@ -48,7 +48,7 @@ class ForaSpec extends AnyFunSuite {
     val rnd = new Random(10)
     val wi  = WalkIndex.build(g, alpha, perNode = 64, seed = 4)
     Seq(3, 13).foreach { s =>
-      checkEnvelope(ForaPlus.dppr(g, s, alpha, eps, delta, pf, rnd, wi), s)
+      checkEnvelope(Fora.dppr(g, s, alpha, eps, delta, pf, rnd, Deadline.none, wi), s)
     }
   }
 

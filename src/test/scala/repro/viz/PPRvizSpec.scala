@@ -1,16 +1,17 @@
 package repro.viz
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dppr, PDist}
+import repro.core.{Dppr, PDist, TauPush}
 import repro.graph.GraphGen
-import repro.ppr.Deadline
+import repro.ppr.{Deadline, Dpr}
 
 class PPRvizSpec extends AnyFunSuite {
 
-  // FilmTrust: a power-law graph whose hubs exceed the DPR threshold, so the
-  // GBP part of the index is exercised (wikiII has no high-DPR supernodes).
+  // A hub-heavy graph: its hubs exceed the DPR threshold of the queries they
+  // appear in, so queries read the GBP part of the index (no query on
+  // FilmTrust at k = 10 has a GBP target).
   private val k = 10
-  private lazy val g     = GraphGen.filmTrust
+  private lazy val g     = GraphGen.hubHeavy(2000, 4, 20, 2, seed = 5)
   private lazy val index = PPRviz.preprocess(g, k)
 
   test("preprocess produces a hierarchy respecting k") {
@@ -24,15 +25,43 @@ class PPRvizSpec extends AnyFunSuite {
   }
 
   test("index stores GBP results exactly for supernodes above the DPR threshold") {
-    val tau = 1.0 / math.sqrt(k.toDouble * g.n)
-    (0 to index.hier.nLevels).foreach { level =>
-      val sets = index.hier.leafSets(level)
+    val hier = index.hier
+    (0 to hier.nLevels).foreach { level =>
+      val sets = hier.leafSets(level)
       sets.indices.foreach { id =>
-        val tauJ = repro.ppr.Dpr.ofSupernode(index.leafDpr, sets(id))
+        val parentK =
+          if (level == hier.nLevels) sets.length
+          else hier.childrenOf(level + 1, hier.parents(level)(id)).length
+        val tau  = 1.0 / math.sqrt(parentK.toDouble * g.n)
+        val tauJ = Dpr.ofSupernode(index.leafDpr, sets(id))
         assert(index.gbpAgg.contains((level, id)) == (tauJ > tau),
-          s"level $level id $id tau_j=$tauJ")
+          s"level $level id $id tau_j=$tauJ tau=$tau")
       }
     }
+  }
+
+  test("index keys are exactly the GBP targets of all queries, each read as an index hit") {
+    val hier = index.hier
+    // Every query of the hierarchy: the virtual root and each supernode.
+    val queries = (hier.nLevels + 1, -1) +:
+      (1 to hier.nLevels).flatMap(l => (0 until hier.levelSize(l)).map((l, _)))
+    val read = Set.newBuilder[(Int, Int)]
+    queries.foreach { case (level, id) =>
+      val (q, ids) = PPRviz.queryWithIds(hier, level, id)
+      var misses = 0
+      val lookup: Int => Option[Array[Double]] = { j =>
+        read += ((level - 1, ids(j)))
+        val hit = index.gbpAgg.get((level - 1, ids(j)))
+        if (hit.isEmpty) misses += 1
+        hit
+      }
+      val res = TauPush.run(g, q, index.leafDpr, PPRviz.DefaultAlpha, PPRviz.DefaultEps,
+        PPRviz.delta(k), TauPush.Standard, Deadline.none, lookup)
+      assert(misses == 0, s"query ($level,$id) fell back to live GBP")
+      assert(PPRviz.queryPDist(g, index, level, id, k).pushes == res.pushes)
+    }
+    assert(index.gbpAgg.nonEmpty, "expected at least one GBP target")
+    assert(read.result() == index.gbpAgg.keySet)
   }
 
   test("query PDist values respect the Eq. 1 range at every level") {
@@ -59,14 +88,17 @@ class PPRvizSpec extends AnyFunSuite {
     }
   }
 
+  private lazy val tauPush = Variants.VariantIndex(Variants.TauPushVar, index)
+
   test("visualize returns one 2-D row per child") {
-    val x = PPRviz.visualize(g, index, index.hier.nLevels + 1, -1, k)
+    val x = Variants.visualize(tauPush, g, index.hier.nLevels + 1, -1, k, Deadline.none).get
     assert(x.length == index.hier.levelSize(index.hier.nLevels))
     assert(x.forall(p => p.length == 2 && p.forall(v => !v.isNaN)))
   }
 
   test("responseTime is positive and fast on the small graph") {
-    val t = PPRviz.responseTime(g, index, k, paths = 2, seed = 5)
+    val t = Variants.responseTime(tauPush, g, k, paths = 2,
+      deadlineSec = Double.PositiveInfinity, seed = 5).get
     assert(t > 0 && t < 5.0)
   }
 

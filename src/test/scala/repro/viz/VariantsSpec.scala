@@ -65,7 +65,7 @@ class VariantsSpec extends AnyFunSuite {
 
   test("Tau-Push index holds DPR and GBP credits") {
     val vi = indices(Variants.TauPushVar)
-    assert(vi.leafDpr.isDefined && vi.gbp.isDefined)
+    assert(vi.pprviz.isDefined && vi.bytes == vi.pprviz.get.sizeBytes)
     assert(vi.bytes >= hier.sizeBytes + 8L * g.n)
   }
 
