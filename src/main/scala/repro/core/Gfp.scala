@@ -1,18 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.ppr.Deadline
-
-/** Result of one GFP run from a source supernode: per-child DPPR estimates,
-  * the full residue vector (consumed by GFRA's sampling phase), its sum, and
-  * the push-operation count.
-  */
-final case class GfpResult(
-    est: Array[Double],
-    residue: Array[Double],
-    rsum: Double,
-    pushes: Long,
-)
+import repro.ppr.{Deadline, Push, PushResult}
 
 /** Group Forward-Push (Algorithm 2).
   *
@@ -25,44 +14,20 @@ final case class GfpResult(
   */
 object Gfp {
 
+  /** Forward push from the leaves of child `srcChild`; `est` holds the k
+    * per-child estimates, `residue` the full residue vector that GFRA's
+    * sampling phase consumes.
+    */
   def run(g: LocalGraph, q: SuperQuery, srcChild: Int, alpha: Double,
-          rmax: Double, deadline: Deadline = Deadline.none): GfpResult = {
-    val n       = g.n
-    val residue = new Array[Double](n)
-    val est     = new Array[Double](q.k)
+          rmax: Double, deadline: Deadline = Deadline.none): PushResult = {
     val srcLeaves = q.children(srcChild)
     val srcSize   = srcLeaves.length.toDouble
-    srcLeaves.foreach(v => residue(v) = g.outDeg(v) / srcSize)
-
-    val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
-    srcLeaves.foreach { v =>
-      if (residue(v) > g.outDeg(v) * rmax) { queue.add(v); inQueue(v) = true }
+    val est       = new Array[Double](q.k)
+    Push.forward(g, srcLeaves, srcLeaves.map(g.outDeg(_) / srcSize), alpha, rmax,
+        deadline, est) { (v, r) =>
+      val cj = q.members(v)
+      if (cj >= 0) est(cj) += alpha * r / q.size(cj)
     }
-    var pushes = 0L
-    while (!queue.isEmpty) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
-      val r  = residue(vk)
-      val dv = g.outDeg(vk)
-      if (r > dv * rmax) {
-        val cj = q.members(vk)
-        if (cj >= 0) est(cj) += alpha * r / q.size(cj)
-        val share = (1.0 - alpha) * r / dv
-        residue(vk) = 0.0
-        g.foreachOut(vk) { u =>
-          residue(u) += share
-          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) {
-            queue.add(u); inQueue(u) = true
-          }
-        }
-        pushes += dv
-      }
-    }
-    var rsum = 0.0
-    var i = 0
-    while (i < n) { rsum += residue(i); i += 1 }
-    GfpResult(est, residue, rsum, pushes)
   }
 }
 
@@ -81,38 +46,16 @@ object Gfp {
   */
 object Gbp {
 
-  /** Query-independent per-node credits `Σ α·d(v)·r(v, V_j)` for the target
-    * leaf set, plus push count.
+  /** Backward push from the target leaf set; `est` holds the
+    * query-independent per-node credits `Σ α·d(v)·r(v, V_j)`.
     */
   def credits(g: LocalGraph, targetLeaves: Array[Int], alpha: Double,
-              rbmax: Double, deadline: Deadline = Deadline.none): (Array[Double], Long) = {
-    val n       = g.n
-    val residue = new Array[Double](n)
-    val credit  = new Array[Double](n)
-    val tSize   = targetLeaves.length.toDouble
-    targetLeaves.foreach(v => residue(v) = 1.0 / tSize)
-
-    val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
-    targetLeaves.foreach { v =>
-      if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
+              rbmax: Double, deadline: Deadline = Deadline.none): PushResult = {
+    val credit = new Array[Double](g.n)
+    Push.backward(g, targetLeaves, Array.fill(targetLeaves.length)(1.0 / targetLeaves.length),
+        alpha, rbmax, deadline, credit) { (v, r) =>
+      credit(v) += alpha * g.outDeg(v) * r
     }
-    var pushes = 0L
-    while (!queue.isEmpty) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
-      val r  = residue(vk)
-      if (r > rbmax) {
-        credit(vk) += alpha * g.outDeg(vk) * r
-        residue(vk) = 0.0
-        g.foreachIn(vk) { u =>
-          residue(u) += (1.0 - alpha) * r / g.outDeg(u)
-          if (!inQueue(u) && residue(u) > rbmax) { queue.add(u); inQueue(u) = true }
-        }
-        pushes += g.inDeg(vk)
-      }
-    }
-    (credit, pushes)
   }
 
   /** Aggregate a credit vector into per-source-child estimates for a query. */
@@ -130,8 +73,6 @@ object Gbp {
 
   /** Algorithm 3 end-to-end: estimates π̂_d(V_i, V_j) for every child V_i. */
   def run(g: LocalGraph, q: SuperQuery, tgtChild: Int, alpha: Double,
-          rbmax: Double, deadline: Deadline = Deadline.none): Array[Double] = {
-    val (credit, _) = credits(g, q.children(tgtChild), alpha, rbmax, deadline)
-    aggregate(q, credit)
-  }
+          rbmax: Double, deadline: Deadline = Deadline.none): Array[Double] =
+    aggregate(q, credits(g, q.children(tgtChild), alpha, rbmax, deadline).est)
 }

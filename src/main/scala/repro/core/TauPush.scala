@@ -99,9 +99,9 @@ object TauPush {
         if (target(j)) {
           gbpTargets += 1
           val refined = gbpLookup(j).getOrElse {
-            val (c, p) = Gbp.credits(g, q.children(j), alpha, rbmax, deadline)
-            pushes += p
-            Gbp.aggregate(q, c)
+            val c = Gbp.credits(g, q.children(j), alpha, rbmax, deadline)
+            pushes += c.pushes
+            Gbp.aggregate(q, c.est)
           }
           var s = 0
           while (s < k) {

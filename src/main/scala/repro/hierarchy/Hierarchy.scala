@@ -16,7 +16,7 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 
   /** Number of nodes at a level (level 0 = leaves). */
   def levelSize(level: Int): Int =
-    if (level == 0) g.n else parents(level - 1).max + 1
+    if (level == 0) g.n else children(level).length
 
   /** anc(ℓ)(leaf) = the level-ℓ ancestor of a leaf; anc(0) = identity. */
   lazy val anc: Array[Array[Int]] = {
@@ -32,19 +32,21 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 
   /** Leaf sets per level: leafSets(ℓ)(id) = leaves whose level-ℓ ancestor is id. */
   lazy val leafSets: Array[Array[Array[Int]]] =
+    Array.tabulate(nLevels + 1)(l => Hierarchy.group(anc(l), levelSize(l)))
+
+  /** children(ℓ)(id) = level-(ℓ-1) ids under supernode `id` at level ℓ ≥ 1,
+    * ascending; built once per level (children(0) is empty).
+    */
+  private lazy val children: Array[Array[Array[Int]]] =
     Array.tabulate(nLevels + 1) { l =>
-      val sz   = levelSize(l)
-      val bufs = Array.fill(sz)(scala.collection.mutable.ArrayBuffer.empty[Int])
-      var v = 0
-      while (v < g.n) { bufs(anc(l)(v)) += v; v += 1 }
-      bufs.map(_.toArray)
+      if (l == 0) Array.empty[Array[Int]]
+      else Hierarchy.group(parents(l - 1), parents(l - 1).max + 1)
     }
 
   /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ ≥ 1. */
   def childrenOf(level: Int, id: Int): Array[Int] = {
     require(level >= 1 && level <= nLevels)
-    val p = parents(level - 1)
-    (0 until p.length).filter(p(_) == id).toArray
+    children(level)(id)
   }
 
   /** Query for the coarsest supergraph (the visualization the zoom-in path
@@ -82,6 +84,24 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 }
 
 object Hierarchy {
+
+  /** Indices 0 until keys.length grouped by key (keys in [0, size)), each
+    * group ascending: one counting pass, no boxing.
+    */
+  private def group(keys: Array[Int], size: Int): Array[Array[Int]] = {
+    val count = new Array[Int](size)
+    keys.foreach(c => count(c) += 1)
+    val out = Array.tabulate(size)(c => new Array[Int](count(c)))
+    java.util.Arrays.fill(count, 0)
+    var i = 0
+    while (i < keys.length) {
+      val c = keys(i)
+      out(c)(count(c)) = i
+      count(c) += 1
+      i += 1
+    }
+    out
+  }
 
   /** Louvain+ construction: repeat constrained Louvain passes (falling back
     * to force-merging when a pass stalls) until the coarsest supergraph has

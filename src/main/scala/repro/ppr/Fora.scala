@@ -16,13 +16,25 @@ object Fora {
   def walkCountW(eps: Double, delta: Double, pf: Double): Double =
     (2.0 + 2.0 * eps / 3.0) * math.log(1.0 / pf) / (eps * eps * delta)
 
-  /** Single-source (ε,δ)-approximate DPPR by vanilla FORA (fresh walks). */
+  /** Stand-in for ResAcc (Lin et al. [47]): FORA with fresh walks and r_max
+    * scaled by this factor, not Lin et al.'s residue-accumulation algorithm.
+    * Residue accumulation lets ResAcc push a little deeper for the same
+    * budget; modelled as a 2x tighter threshold before the walk phase. Like
+    * ResAcc it stores no index (the 5 MiB "no index" rows of Table 10); see
+    * DESIGN.md §3.
+    */
+  val ResAccRmaxFactor = 0.5
+
+  /** Single-source (ε,δ)-approximate DPPR: FORA with fresh walks
+    * (`walkIndex = null`), FORA+ reading a walk index, or the ResAcc stand-in
+    * (fresh walks, `rmaxFactor = ResAccRmaxFactor`).
+    */
   def dppr(g: LocalGraph, src: Int, alpha: Double, eps: Double, delta: Double,
            pf: Double, rnd: Random, deadline: Deadline = Deadline.none,
-           walkIndex: WalkIndex = null): Array[Double] = {
+           walkIndex: WalkIndex = null, rmaxFactor: Double = 1.0): Array[Double] = {
     val w    = walkCountW(eps, delta, pf)
     val d    = math.max(1, g.outDeg(src))
-    val rmax = math.sqrt(d / (g.m.toDouble * w))
+    val rmax = rmaxFactor * math.sqrt(d / (g.m.toDouble * w))
     val fp   = ForwardPush.dppr(g, src, alpha, rmax, deadline)
     val est  = fp.est
     if (fp.rsum > 0.0) {
@@ -70,35 +82,5 @@ object WalkIndex {
       Array.fill(quota)(RandomWalk.walk(g, v, alpha, rnd))
     }
     new WalkIndex(eps)
-  }
-}
-
-/** Stand-in for ResAcc (Lin et al. [47]): this is FORA with fresh walks and
-  * r_max halved, not Lin et al.'s residue-accumulation algorithm. Like ResAcc
-  * it stores no index (the 5 MiB "no index" rows of Table 10); see DESIGN.md
-  * §3.
-  */
-object ResAcc {
-  def dppr(g: LocalGraph, src: Int, alpha: Double, eps: Double, delta: Double,
-           pf: Double, rnd: Random, deadline: Deadline = Deadline.none): Array[Double] = {
-    val w    = Fora.walkCountW(eps, delta, pf)
-    val d    = math.max(1, g.outDeg(src))
-    // Residue accumulation lets ResAcc push a little deeper for the same
-    // budget; modelled as a 2x tighter threshold before the walk phase.
-    val rmax = 0.5 * math.sqrt(d / (g.m.toDouble * w))
-    val fp   = ForwardPush.dppr(g, src, alpha, rmax, deadline)
-    val est  = fp.est
-    if (fp.rsum > 0.0) {
-      val omega   = math.max(1L, math.ceil(fp.rsum * w).toLong)
-      val sampler = RandomWalk.residueSampler(fp.residue, fp.rsum)
-      val add     = fp.rsum / omega
-      var i = 0L
-      while (i < omega) {
-        if ((i & 0xff) == 0) deadline.check()
-        est(RandomWalk.walk(g, sampler(rnd), alpha, rnd)) += add
-        i += 1
-      }
-    }
-    est
   }
 }

@@ -92,8 +92,7 @@ object PPRviz {
         val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
         val rbmax     = eps * del / maxAvgDeg
         targets.foreach { id =>
-          val (credit, _) = Gbp.credits(g, sets(id), alpha, rbmax)
-          out += ((level, id) -> Gbp.aggregate(q, credit))
+          out += ((level, id) -> Gbp.aggregate(q, Gbp.credits(g, sets(id), alpha, rbmax).est))
         }
       }
       level += 1

@@ -1,7 +1,7 @@
 package repro.viz
 
 import java.util.Random
-import repro.core.{Dppr, Gfra, PDist, SuperQuery, TauPush}
+import repro.core.{Dppr, Gfra, PDist, SuperQuery, TauPush, TauPushResult}
 import repro.graph.LocalGraph
 import repro.hierarchy.Hierarchy
 import repro.layout.StressMajorization
@@ -91,9 +91,8 @@ object Variants {
           val leaves = q.children(i)
           leaves.foreach { s =>
             deadline.check()
-            val est =
-              if (vi.variant == ResAccVar) ResAcc.dppr(g, s, alpha, eps, del, pf, rnd, deadline)
-              else Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.get)
+            val est = Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.orNull,
+              if (vi.variant == ResAccVar) Fora.ResAccRmaxFactor else 1.0)
             // Eq. 2 aggregation of the per-leaf single-source estimates.
             var v = 0
             while (v < g.n) {
@@ -106,14 +105,22 @@ object Variants {
           i += 1
         }
         out
-      case TauPushVar =>
-        PPRviz.tauPush(g, vi.pprviz.get, q, level, ids, k, alpha, eps, deadline).dppr
-      case GfpTauMaxVar =>
-        TauPush.run(g, q, vi.pprviz.get.leafDpr, alpha, eps, del, TauPush.GfpTauMax, deadline).dppr
+      case TauPushVar | GfpTauMaxVar =>
+        tauPush(vi, g, q, level, ids, k, alpha, eps, deadline).dppr
       case GfraVar =>
         Gfra.run(g, q, alpha, eps, del, pf, seed, deadline, vi.walkIndex.orNull)
     }
   }
+
+  /** Tau-Push or GFP(τ_max) on PPRviz's own index. */
+  private def tauPush(vi: VariantIndex, g: LocalGraph, q: SuperQuery, level: Int,
+                      ids: Array[Int], k: Int, alpha: Double, eps: Double,
+                      deadline: Deadline): TauPushResult =
+    if (vi.variant == TauPushVar)
+      PPRviz.tauPush(g, vi.pprviz.get, q, level, ids, k, alpha, eps, deadline)
+    else
+      TauPush.run(g, q, vi.pprviz.get.leafDpr, alpha, eps, PPRviz.delta(k),
+        TauPush.GfpTauMax, deadline)
 
   /** One visualization under a variant: DPPR → PDist → stress majorization.
     * Returns None when the deadline is exceeded (a "-" entry in Table 8).
@@ -124,8 +131,14 @@ object Variants {
                 eps: Double = PPRviz.DefaultEps): Option[Array[Array[Double]]] =
     try {
       val (q, ids) = PPRviz.queryWithIds(vi.hier, level, id)
-      val dppr     = dpprMatrix(vi, g, q, level, ids, k, alpha, eps, deadline, seed)
-      Some(StressMajorization.layout(PDist.matrix(dppr, g.n), seed))
+      // Tau-Push and GFP(τ_max) return the PDist matrix with their DPPR.
+      val pdist = vi.variant match {
+        case TauPushVar | GfpTauMaxVar =>
+          tauPush(vi, g, q, level, ids, k, alpha, eps, deadline).pdist
+        case _ =>
+          PDist.matrix(dpprMatrix(vi, g, q, level, ids, k, alpha, eps, deadline, seed), g.n)
+      }
+      Some(StressMajorization.layout(pdist, seed))
     } catch {
       case _: Deadline.Exceeded => None
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
-import repro.ppr.{Dpr, PowerIteration}
+import repro.ppr.{Dpr, ForwardPush, PowerIteration}
 
 /** Lemma 4.1 / 4.2: GFP and GBP return (ε,δ)-approximate level-ℓ DPPR under
   * the paper's threshold settings, verified against the exact Eq. 2 values.
@@ -60,6 +60,20 @@ class GfpGbpSpec extends AnyFunSuite {
     (0 until q.k).foreach(j => assert(r.est(j) <= exact(2)(j) + 1e-9))
   }
 
+  test("GFP over singleton children equals single-source forward push exactly") {
+    // Both run the one forward kernel; only the credit sink differs.
+    val leaves = SuperQuery.singletons(g.n, (0 until g.n).toArray)
+    Seq(0, 7, 30).foreach { s =>
+      val grouped = Gfp.run(g, leaves, s, alpha, rmax = 1e-4)
+      val single  = ForwardPush.dppr(g, s, alpha, rmax = 1e-4)
+      (0 until g.n).foreach { v =>
+        assert(grouped.est(v) == single.est(v), s"source $s est($v)")
+        assert(grouped.residue(v) == single.residue(v), s"source $s residue($v)")
+      }
+      assert(grouped.pushes == single.pushes && grouped.rsum == single.rsum)
+    }
+  }
+
   test("GBP with the Eq. 6 rbmax is (eps,delta)-approximate for every source") {
     val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
     val rbmax = eps * delta / maxAvgDeg
@@ -85,7 +99,7 @@ class GfpGbpSpec extends AnyFunSuite {
 
   test("GBP credits are query independent: aggregate(credits) == run") {
     val rbmax = 0.005
-    val (credit, _) = Gbp.credits(g, q.children(1), alpha, rbmax)
+    val credit      = Gbp.credits(g, q.children(1), alpha, rbmax).est
     val viaCredits  = Gbp.aggregate(q, credit)
     val direct      = Gbp.run(g, q, 1, alpha, rbmax)
     (0 until q.k).foreach(i => assert(math.abs(viaCredits(i) - direct(i)) < 1e-12))

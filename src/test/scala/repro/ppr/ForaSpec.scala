@@ -40,7 +40,8 @@ class ForaSpec extends AnyFunSuite {
   test("ResAcc meets the envelope (seeded)") {
     val rnd = new Random(9)
     Seq(2, 11).foreach { s =>
-      checkEnvelope(ResAcc.dppr(g, s, alpha, eps, delta, pf, rnd), s)
+      checkEnvelope(Fora.dppr(g, s, alpha, eps, delta, pf, rnd,
+        rmaxFactor = Fora.ResAccRmaxFactor), s)
     }
   }
 

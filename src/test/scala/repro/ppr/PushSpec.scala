@@ -13,6 +13,15 @@ class PushSpec extends AnyFunSuite {
   private lazy val exactPpr  = PowerIteration.pprMatrix(g, alpha)
   private lazy val exactDppr = PowerIteration.dpprMatrix(g, alpha)
 
+  // Single-target backward push: crediting α·r(v) to v estimates π(v, t).
+  private def toTarget(graph: LocalGraph, t: Int, rbmax: Double,
+                       deadline: Deadline = Deadline.none): PushResult = {
+    val est = new Array[Double](graph.n)
+    Push.backward(graph, Array(t), Array(1.0), alpha, rbmax, deadline, est) { (v, r) =>
+      est(v) += alpha * r
+    }
+  }
+
   test("forward push: all residues end below d(v)·rmax") {
     val rmax = 0.01
     val r = ForwardPush.dppr(g, 0, alpha, rmax)
@@ -57,13 +66,13 @@ class PushSpec extends AnyFunSuite {
 
   test("backward push: all residues end below rbmax") {
     val rbmax = 0.01
-    val r = BackwardPush.toTarget(g, 5, alpha, rbmax)
+    val r = toTarget(g, 5, rbmax)
     (0 until g.n).foreach(v => assert(r.residue(v) <= rbmax + 1e-12))
   }
 
   test("backward push estimates π(·, t): invariant vs exact") {
     val t = 4
-    val r = BackwardPush.toTarget(g, t, alpha, 0.02)
+    val r = toTarget(g, t, 0.02)
     (0 until g.n).foreach { s =>
       val err = (0 until g.n).map(k => exactPpr(s)(k) * r.residue(k)).sum
       assert(math.abs(exactPpr(s)(t) - (r.est(s) + err)) < 1e-6,
@@ -74,7 +83,7 @@ class PushSpec extends AnyFunSuite {
   test("backward push error bounded by rbmax (since Σ_k π(s,k) = 1)") {
     val t = 7
     val rbmax = 0.005
-    val r = BackwardPush.toTarget(g, t, alpha, rbmax)
+    val r = toTarget(g, t, rbmax)
     (0 until g.n).foreach { s =>
       assert(exactPpr(s)(t) - r.est(s) <= rbmax + 1e-9)
       assert(exactPpr(s)(t) - r.est(s) >= -1e-9)
@@ -84,7 +93,7 @@ class PushSpec extends AnyFunSuite {
   test("push counters are positive when work happens") {
     val r = ForwardPush.dppr(g, 0, alpha, 0.001)
     assert(r.pushes > 0)
-    val b = BackwardPush.toTarget(g, 0, alpha, 0.001)
+    val b = toTarget(g, 0, 0.001)
     assert(b.pushes > 0)
   }
 
@@ -92,6 +101,18 @@ class PushSpec extends AnyFunSuite {
     val big = GraphGen.powerLaw(20000, 5, seed = 2)
     intercept[Deadline.Exceeded] {
       ForwardPush.dppr(big, 0, alpha, 1e-9, new Deadline(System.nanoTime() - 1))
+    }
+  }
+
+  test("a deadline that passes mid-push aborts both kernels") {
+    // Checks fire every 1024 queue pops, so a deadline a few milliseconds
+    // ahead stops pushes that would run far longer.
+    val big = GraphGen.powerLaw(20000, 5, seed = 2)
+    intercept[Deadline.Exceeded] {
+      ForwardPush.dppr(big, 0, alpha, 1e-9, Deadline.in(0.005))
+    }
+    intercept[Deadline.Exceeded] {
+      toTarget(big, 0, 1e-9, Deadline.in(0.005))
     }
   }
 
@@ -103,9 +124,7 @@ class PushSpec extends AnyFunSuite {
       (4, 0), (5, 0), (6, 0), (7, 0)))
     // Choose rmax = 0.9 so only v0 is processed (3.0 > 3·0.9) while each
     // neighbour ends holding exactly 0.9, not above its d(v)·rmax threshold.
-    val init = new Array[Double](8)
-    init(0) = 3.0
-    val r = ForwardPush.push(fig, init, alpha = 0.1, rmax = 0.9)
+    val r = ForwardPush.dppr(fig, 0, alpha = 0.1, rmax = 0.9)
     assert(math.abs(r.est(0) - 0.3) < 1e-12)           // α·3.0
     assert(math.abs(r.residue(1) - 0.9) < 1e-12)
     assert(math.abs(r.residue(2) - 0.9) < 1e-12)

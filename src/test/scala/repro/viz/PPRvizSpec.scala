@@ -40,11 +40,12 @@ class PPRvizSpec extends AnyFunSuite {
     }
   }
 
+  // Every query of the hierarchy: the virtual root and each supernode.
+  private lazy val queries = (index.hier.nLevels + 1, -1) +:
+    (1 to index.hier.nLevels).flatMap(l => (0 until index.hier.levelSize(l)).map((l, _)))
+
   test("index keys are exactly the GBP targets of all queries, each read as an index hit") {
     val hier = index.hier
-    // Every query of the hierarchy: the virtual root and each supernode.
-    val queries = (hier.nLevels + 1, -1) +:
-      (1 to hier.nLevels).flatMap(l => (0 until hier.levelSize(l)).map((l, _)))
     val read = Set.newBuilder[(Int, Int)]
     queries.foreach { case (level, id) =>
       val (q, ids) = PPRviz.queryWithIds(hier, level, id)
@@ -62,6 +63,15 @@ class PPRvizSpec extends AnyFunSuite {
     }
     assert(index.gbpAgg.nonEmpty, "expected at least one GBP target")
     assert(read.result() == index.gbpAgg.keySet)
+  }
+
+  test("total pushes over every query are pinned") {
+    // Recorded before the four push loops became two kernels; any change to
+    // push order or thresholds moves it.
+    val total = queries.map { case (level, id) =>
+      PPRviz.queryPDist(g, index, level, id, k).pushes
+    }.sum
+    assert(total == 50317833L)
   }
 
   test("query PDist values respect the Eq. 1 range at every level") {
