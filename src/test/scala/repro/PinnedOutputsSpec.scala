@@ -1,0 +1,97 @@
+package repro
+
+import java.util.Random
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Dppr, Gbp, Gfra, TauPush}
+import repro.graph.{GraphGen, LocalGraph}
+import repro.hierarchy.Hierarchy
+import repro.layout.ForceDirected
+import repro.ppr.{Dpr, Fora, WalkIndex}
+import repro.viz.PPRviz
+
+/** Exact doubles of the seeded baselines and engines, pinned as a hash of
+  * their IEEE bit patterns. The envelope and shape tests elsewhere would not
+  * notice a moved last bit; these do. A refactor that keeps the arithmetic
+  * must leave every hash unchanged.
+  */
+class PinnedOutputsSpec extends AnyFunSuite {
+
+  private val alpha = PPRviz.DefaultAlpha
+  private val eps   = PPRviz.DefaultEps
+
+  /** Order-sensitive hash of the bit patterns of every entry. */
+  private def bits(xs: Array[Double]): Long =
+    xs.foldLeft(17L)((h, x) => h * 31L + java.lang.Double.doubleToLongBits(x))
+  private def bits(m: Array[Array[Double]]): Long =
+    m.foldLeft(17L)((h, row) => h * 31L + bits(row))
+
+  private def pin(name: String, actual: Long, expected: Long): Unit =
+    assert(actual == expected, f"$name: hash 0x$actual%016xL, pinned 0x$expected%016xL")
+
+  private lazy val wiki = GraphGen.wikiII
+  private lazy val hier = Hierarchy.build(wiki, 10)
+  private lazy val dpr  = Dpr.vector(wiki, alpha)
+
+  private def layouts(g: LocalGraph): Seq[(String, Array[Array[Double]])] = Seq(
+    "fr"         -> ForceDirected.fr(g, seed = 1),
+    "linLog"     -> ForceDirected.linLog(g, seed = 1),
+    "forceAtlas" -> ForceDirected.forceAtlas(g, seed = 1),
+  )
+
+  test("force-directed layouts on TwEgo and Wiki-ii are pinned (seed 1)") {
+    val expected = Map(
+      "twEgo/fr" -> 0xd6653860a657f97bL, "twEgo/linLog" -> 0x06334131b6f5cb96L, "twEgo/forceAtlas" -> 0x795df51cbb1fcf4fL,
+      "wikiII/fr" -> 0x4aafd0587396153fL, "wikiII/linLog" -> 0x3311f9f4a43b1c11L, "wikiII/forceAtlas" -> 0xb3cae400622239f8L,
+    )
+    for ((gName, g) <- Seq("twEgo" -> GraphGen.twEgo, "wikiII" -> wiki);
+         (model, pos) <- layouts(g)) {
+      val key = s"$gName/$model"
+      pin(key, bits(pos), expected(key))
+    }
+  }
+
+  test("FORA, FORA+ and ResAcc single-source estimates are pinned (seeded)") {
+    val delta = 1.0 / 250.0
+    val pf    = 1.0 / wiki.n
+    val wi    = WalkIndex.build(wiki, alpha, perNode = 8, seed = 3)
+    pin("FORA", bits(Fora.dppr(wiki, 4, alpha, eps, delta, pf, new Random(21))), 0x791c6f56f08a4697L)
+    pin("FORA+", bits(Fora.dppr(wiki, 4, alpha, eps, delta, pf, new Random(22),
+      walkIndex = wi)), 0xd8cb39af49c97b10L)
+    pin("ResAcc", bits(Fora.dppr(wiki, 4, alpha, eps, delta, pf, new Random(23),
+      rmaxFactor = Fora.ResAccRmaxFactor)), 0xf9a420eb0c32dd9fL)
+  }
+
+  test("GFRA on a hierarchy query is pinned (seeded)") {
+    val q     = PPRviz.queryWithIds(hier, 1, 0)._1
+    val delta = PPRviz.delta(q.k)
+    pin("GFRA", bits(Gfra.run(wiki, q, alpha, eps, delta, 0.01, seed = 5)), 0x602d17de59ebbcb2L)
+    val wi = WalkIndex.build(wiki, alpha, perNode = 8, seed = 6)
+    pin("GFRA+index", bits(Gfra.run(wiki, q, alpha, eps, delta, 0.01, seed = 7,
+      walkIndex = wi)), 0x5d5073c597f423afL)
+  }
+
+  test("GFP(tmax), GBP and the exact row are pinned on the root query") {
+    val q     = hier.rootQuery
+    val delta = PPRviz.delta(q.k)
+    val tmax  = TauPush.run(wiki, q, dpr, alpha, eps, delta, TauPush.GfpTauMax)
+    pin("GFP(tmax) dppr", bits(tmax.dppr), 0xd9fd90f66bd0cfb5L)
+    pin("GFP(tmax) pdist", bits(tmax.pdist), 0x69dbaf23b26a303aL)
+    assert(tmax.gbpTargets == 0)
+    pin("GFP(tmax) pushes", tmax.pushes, 15999L)
+    pin("Gbp.run", bits(Gbp.run(wiki, q, 0, alpha, 1e-4)), 0x6ad9cc5d1f6b61c0L)
+    pin("Dppr.exactRow", bits(Dppr.exactRow(wiki, q, 0, alpha)), 0xc4568419c052166bL)
+  }
+
+  test("Tau-Push with GBP targets, live and from the index, is pinned") {
+    val g     = GraphGen.hubHeavy(400, 3, 6, 2, seed = 5)
+    val index = PPRviz.preprocess(g, 10)
+    val (q, _) = PPRviz.queryWithIds(index.hier, 1, 0)
+    val live  = TauPush.run(g, q, index.leafDpr, alpha, eps, PPRviz.delta(10))
+    assert(live.gbpTargets > 0)
+    pin("Tau-Push live dppr", bits(live.dppr), 0x17b37ee5866e78bdL)
+    pin("Tau-Push live pushes", live.pushes, 201749L)
+    val indexed = PPRviz.queryPDist(g, index, 1, 0, 10)
+    pin("Tau-Push indexed pdist", bits(indexed.pdist), 0x662b8ebe6ea06d7fL)
+    pin("Tau-Push indexed pushes", indexed.pushes, 154670L)
+  }
+}
