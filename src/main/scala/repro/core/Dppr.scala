@@ -24,15 +24,8 @@ object Dppr {
     leaves.foreach(v => s(v) = g.outDeg(v) / degSum)
     val p     = PowerIteration.pprFromDistribution(g, s, alpha, tol, deadline)
     val scale = degSum / leaves.length
-    val out   = new Array[Double](q.k)
-    var j = 0
-    while (j < q.k) {
-      var acc = 0.0
-      q.children(j).foreach(t => acc += p(t))
-      out(j) = acc * scale / q.size(j)
-      j += 1
-    }
-    out
+    val sums  = q.childSums(p)
+    Array.tabulate(q.k)(j => sums(j) * scale / q.size(j))
   }
 
   /** Exact k×k level-ℓ DPPR matrix. */
@@ -46,20 +39,29 @@ object Dppr {
     * is what makes PI exceed the response deadline in Table 8).
     */
   def perLeafMatrix(g: LocalGraph, q: SuperQuery, alpha: Double,
-                    tol: Double = 1e-9, deadline: Deadline = Deadline.none): Array[Array[Double]] = {
+                    tol: Double = 1e-9, deadline: Deadline = Deadline.none): Array[Array[Double]] =
+    perLeafAverage(q, deadline) { s =>
+      val d = g.outDeg(s).toDouble
+      PowerIteration.ppr(g, s, alpha, tol).map(_ * d)
+    }
+
+  /** Eq. 2 from single-source DPPR vectors `row(s)`, one per leaf s of each
+    * source child: π_d(V_i, V_j) = Σ_{s∈F(V_i)} Σ_{t∈F(V_j)} row(s)(t) /
+    * (|F(V_i)|·|F(V_j)|). Rows are requested in leaf order; the deadline is
+    * checked before each.
+    */
+  private[repro] def perLeafAverage(q: SuperQuery, deadline: Deadline)(
+      row: Int => Array[Double]): Array[Array[Double]] = {
     val out = Array.ofDim[Double](q.k, q.k)
     var i = 0
     while (i < q.k) {
       val leaves = q.children(i)
       leaves.foreach { s =>
         deadline.check()
-        val p = PowerIteration.ppr(g, s, alpha, tol)
-        val d = g.outDeg(s).toDouble
+        val sums = q.childSums(row(s))
         var j = 0
         while (j < q.k) {
-          var acc = 0.0
-          q.children(j).foreach(t => acc += p(t) * d)
-          out(i)(j) += acc / (leaves.length.toDouble * q.size(j))
+          out(i)(j) += sums(j) / (leaves.length.toDouble * q.size(j))
           j += 1
         }
       }

@@ -60,15 +60,8 @@ object Gbp {
 
   /** Aggregate a credit vector into per-source-child estimates for a query. */
   def aggregate(q: SuperQuery, credit: Array[Double]): Array[Double] = {
-    val est = new Array[Double](q.k)
-    var i = 0
-    while (i < q.k) {
-      var s = 0.0
-      q.children(i).foreach(v => s += credit(v))
-      est(i) = s / q.size(i)
-      i += 1
-    }
-    est
+    val sums = q.childSums(credit)
+    Array.tabulate(q.k)(i => sums(i) / q.size(i))
   }
 
   /** Algorithm 3 end-to-end: estimates π̂_d(V_i, V_j) for every child V_i. */

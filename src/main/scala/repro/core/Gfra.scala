@@ -29,21 +29,14 @@ object Gfra {
     val dppr = Array.ofDim[Double](k, k)
     var i = 0
     while (i < k) {
-      val fp = Gfp.run(g, q, i, alpha, rmax, deadline)
-      dppr(i) = fp.est
+      val fp  = Gfp.run(g, q, i, alpha, rmax, deadline)
+      val row = fp.est
+      dppr(i) = row
       if (fp.rsum > 0.0) {
-        val omega   = math.max(1L, math.ceil(fp.rsum / gamma * w).toLong)
-        val sampler = RandomWalk.residueSampler(fp.residue, fp.rsum)
-        var t = 0L
-        while (t < omega) {
-          if ((t & 0xff) == 0) deadline.check()
-          val start = sampler(rnd)
-          val end =
-            if (walkIndex != null) walkIndex.endpoint(start, rnd)
-            else RandomWalk.walk(g, start, alpha, rnd)
+        val omega = math.max(1L, math.ceil(fp.rsum / gamma * w).toLong)
+        RandomWalk.walks(g, fp, omega, alpha, walkIndex, rnd, deadline) { end =>
           val cj = q.members(end)
-          if (cj >= 0) dppr(i)(cj) += fp.rsum / (omega.toDouble * q.size(cj))
-          t += 1
+          if (cj >= 0) row(cj) += fp.rsum / (omega.toDouble * q.size(cj))
         }
       }
       i += 1

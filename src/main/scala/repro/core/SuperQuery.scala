@@ -27,6 +27,12 @@ final class SuperQuery private (
     s / children(i).length
   }
 
+  /** Σ_{v∈F(V_j)} x(v) for every child V_j: the leaf sum Eq. 2 averages.
+    * Callers apply their own scaling.
+    */
+  private[core] def childSums(x: Array[Double]): Array[Double] =
+    children.map { leaves => var s = 0.0; leaves.foreach(v => s += x(v)); s }
+
   /** The high-level graph actually drawn for this query (§2.2): one node per
     * child supernode, an arc (i, j) whenever G has a leaf arc from V_i's
     * subtree to V_j's subtree. Aesthetic metrics of supernode layouts are

@@ -22,12 +22,15 @@ final case class TauPushResult(
   *  4. GBP into every child V_j with DPR τ_j > τ              (Lines 6–7)
   *  5. convert DPPR to PDist via Eq. 1                        (Lines 8–9)
   *
-  * The `GfpTauMax` mode is the ablation variant GFP(τ_max) of §7.4: τ is set
-  * to max_j τ_j so GFP alone already satisfies Lemma 4.1 for every target and
-  * the GBP phase is skipped entirely.
+  * The `GfpTauMax` mode is the ablation variant GFP(τ_max) of §7.4: it picks
+  * no GBP targets, so GFP pushes deep enough for τ = max_j τ_j to satisfy
+  * Lemma 4.1 for every target by itself and no GBP runs.
   */
 object TauPush {
 
+  /** The target rule: `Standard` refines every [[isGbpTarget]] child by GBP,
+    * `GfpTauMax` none.
+    */
   sealed trait Mode
   case object Standard  extends Mode
   case object GfpTauMax extends Mode
@@ -40,6 +43,10 @@ object TauPush {
     * for exactly these targets of every query.
     */
   def isGbpTarget(tauJ: Double, k: Int, n: Int): Boolean = tauJ > tau(k, n)
+
+  /** Eq. 6: r^b_max = ε·δ / max_i avgdeg(V_i) for GBP inside query `q`. */
+  private[repro] def rbmax(g: LocalGraph, q: SuperQuery, eps: Double, delta: Double): Double =
+    eps * delta / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
 
   /** @param leafDpr   precomputed leaf DPR vector (the O(n) index of §4.3)
     * @param gbpLookup optional precomputed GBP results for a child index:
@@ -55,15 +62,11 @@ object TauPush {
           gbpLookup: Int => Option[Array[Double]] = _ => None): TauPushResult = {
     val k = q.k
     val n = g.n
-    val m = g.m.toDouble
 
+    def isTarget(tauJ: Double): Boolean = mode == Standard && isGbpTarget(tauJ, k, n)
     val tauJ   = Array.tabulate(k)(j => Dpr.ofSupernode(leafDpr, q.children(j)))
-    val target = tauJ.map(isGbpTarget(_, k, n))
+    val target = tauJ.map(isTarget)
 
-    val tau = mode match {
-      case Standard  => TauPush.tau(k, n)
-      case GfpTauMax => tauJ.max
-    }
     // Lemma 4.1 only requires r_max <= ε·δ/(m·τ_j) for the targets GFP is
     // responsible for (τ_j <= τ); the binding constraint is the largest such
     // τ_j, not τ itself. Using that cover value is exactly what the
@@ -71,14 +74,10 @@ object TauPush {
     // stop at the depth the remaining targets need. (On supernode-level
     // queries, DPRs concentrate near 1/n — far below 1/√(kn), App. A.4 —
     // and Eq. 5 taken literally would push ~√(kn)·τ_max/... deeper than any
-    // covered target requires.)
-    val tauCover = mode match {
-      case GfpTauMax => tau
-      case Standard =>
-        val covered = tauJ.filterNot(isGbpTarget(_, k, n))
-        if (covered.isEmpty || covered.max <= 0.0) tau else covered.max
-    }
-    val rmax = eps * delta / (m * tauCover)
+    // covered target requires.) With no targets the cover is max_j τ_j.
+    val covered  = tauJ.filterNot(isTarget)
+    val tauCover = if (covered.isEmpty || covered.max <= 0.0) tau(k, n) else covered.max
+    val rmax     = eps * delta / (g.m.toDouble * tauCover)
 
     var pushes = 0L
     val dppr = Array.ofDim[Double](k, k)
@@ -90,29 +89,24 @@ object TauPush {
       i += 1
     }
 
-    var gbpTargets = 0
-    if (mode == Standard) {
-      val maxAvgDeg = (0 until k).map(q.avgDeg(_, g.outDeg)).max
-      val rbmax     = eps * delta / maxAvgDeg
-      var j = 0
-      while (j < k) {
-        if (target(j)) {
-          gbpTargets += 1
-          val refined = gbpLookup(j).getOrElse {
-            val c = Gbp.credits(g, q.children(j), alpha, rbmax, deadline)
-            pushes += c.pushes
-            Gbp.aggregate(q, c.est)
-          }
-          var s = 0
-          while (s < k) {
-            if (s != j) dppr(s)(j) = refined(s)
-            s += 1
-          }
+    val rb = rbmax(g, q, eps, delta)
+    var j = 0
+    while (j < k) {
+      if (target(j)) {
+        val refined = gbpLookup(j).getOrElse {
+          val c = Gbp.credits(g, q.children(j), alpha, rb, deadline)
+          pushes += c.pushes
+          Gbp.aggregate(q, c.est)
         }
-        j += 1
+        var s = 0
+        while (s < k) {
+          if (s != j) dppr(s)(j) = refined(s)
+          s += 1
+        }
       }
+      j += 1
     }
 
-    TauPushResult(dppr, PDist.matrix(dppr, n), gbpTargets, pushes)
+    TauPushResult(dppr, PDist.matrix(dppr, n), target.count(identity), pushes)
   }
 }

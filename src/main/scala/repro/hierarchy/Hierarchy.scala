@@ -45,7 +45,10 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 
   /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ ≥ 1. */
   def childrenOf(level: Int, id: Int): Array[Int] = {
-    require(level >= 1 && level <= nLevels)
+    require(level >= 1 && level <= nLevels,
+      s"no supernode $id at level $level: supernode levels run 1..$nLevels")
+    require(id >= 0 && id < levelSize(level),
+      s"no supernode $id at level $level: its ids run 0 until ${levelSize(level)}")
     children(level)(id)
   }
 
@@ -108,6 +111,7 @@ object Hierarchy {
     * ≤ k supernodes.
     */
   def build(g: LocalGraph, k: Int): Hierarchy = {
+    require(k >= 2, s"Louvain+ needs k >= 2 children per supernode, got k=$k")
     var wg      = WGraph.fromLocal(g)
     val parents = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
     var guard   = 0

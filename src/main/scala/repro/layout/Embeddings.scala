@@ -42,8 +42,7 @@ object Sdne {
              beta: Double = 5.0, nu: Double = 1e-3, seed: Long = 0): Array[Array[Double]] = {
     val n   = g.n
     val rnd = new Random(seed)
-    val a   = DenseMatrix.zeros[Double](n, n)
-    g.arcs.foreach { case (s, d) => if (s != d) { a(s, d) = 1.0; a(d, s) = 1.0 } }
+    val a   = Spectral.symAdjacency(g)
     val deg = DenseVector.tabulate(n)(v => breeze.linalg.sum(a(v, ::).t))
     val lap = breeze.linalg.diag(deg) - a // graph Laplacian for the 1st-order term
 

@@ -10,7 +10,8 @@ import repro.graph.LocalGraph
   */
 object Spectral {
 
-  private def symAdjacency(g: LocalGraph): DenseMatrix[Double] = {
+  /** Dense 0/1 adjacency of the undirected view, self-loops dropped. */
+  private[layout] def symAdjacency(g: LocalGraph): DenseMatrix[Double] = {
     val a = DenseMatrix.zeros[Double](g.n, g.n)
     g.arcs.foreach { case (s, d) => if (s != d) { a(s, d) = 1.0; a(d, s) = 1.0 } }
     a

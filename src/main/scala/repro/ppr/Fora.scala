@@ -38,19 +38,9 @@ object Fora {
     val fp   = ForwardPush.dppr(g, src, alpha, rmax, deadline)
     val est  = fp.est
     if (fp.rsum > 0.0) {
-      val omega   = math.max(1L, math.ceil(fp.rsum * w).toLong)
-      val sampler = RandomWalk.residueSampler(fp.residue, fp.rsum)
-      val add     = fp.rsum / omega
-      var i = 0L
-      while (i < omega) {
-        if ((i & 0xff) == 0) deadline.check()
-        val start = sampler(rnd)
-        val end =
-          if (walkIndex != null) walkIndex.endpoint(start, rnd)
-          else RandomWalk.walk(g, start, alpha, rnd)
-        est(end) += add
-        i += 1
-      }
+      val omega = math.max(1L, math.ceil(fp.rsum * w).toLong)
+      val add   = fp.rsum / omega
+      RandomWalk.walks(g, fp, omega, alpha, walkIndex, rnd, deadline)(end => est(end) += add)
     }
     est
   }

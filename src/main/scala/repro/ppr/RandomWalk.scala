@@ -20,6 +20,24 @@ object RandomWalk {
     cur
   }
 
+  /** The walk phase of FORA and GFRA: `omega` walks, each starting at a node
+    * drawn with probability residue(v)/rsum from `push`'s residue and ended
+    * by `walkIndex` (when not null) or simulated. `endpoint` receives every
+    * terminal node; the deadline is checked every 256 walks.
+    */
+  private[repro] def walks(g: LocalGraph, push: PushResult, omega: Long, alpha: Double,
+                           walkIndex: WalkIndex, rnd: Random, deadline: Deadline)(
+                           endpoint: Int => Unit): Unit = {
+    val sampler = residueSampler(push.residue, push.rsum)
+    var i = 0L
+    while (i < omega) {
+      if ((i & 0xff) == 0) deadline.check()
+      val start = sampler(rnd)
+      endpoint(if (walkIndex != null) walkIndex.endpoint(start, rnd) else walk(g, start, alpha, rnd))
+      i += 1
+    }
+  }
+
   /** Cumulative-weight sampler over sparse residues: returns a function that
     * draws a node index with probability residue(v)/rsum. Built once per
     * sampling phase (O(#nonzero) setup, O(log) per draw).

@@ -28,6 +28,12 @@ final class PprVizIndex(
       gbpAgg.valuesIterator.map(a => 8L * a.length + 32L).sum
 
   def preprocessSeconds: Double = hierSeconds + dprSeconds + gbpSeconds
+
+  /** The stored GBP results for the children `ids` of a level-`level`
+    * query, by child position.
+    */
+  private[viz] def gbpLookup(level: Int, ids: Array[Int]): Int => Option[Array[Double]] =
+    j => gbpAgg.get((level - 1, ids(j)))
 }
 
 /** PPRviz (§5): preprocessing (Louvain+ hierarchy, DPR index, GBP results)
@@ -88,9 +94,8 @@ object PPRviz {
           fanout(parent(id)), g.n))
         .groupBy(parent(_))
       byParent.foreach { case (p, targets) =>
-        val (q, _)    = queryWithIds(hier, level + 1, p)
-        val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
-        val rbmax     = eps * del / maxAvgDeg
+        val (q, _) = queryWithIds(hier, level + 1, p)
+        val rbmax  = TauPush.rbmax(g, q, eps, del)
         targets.foreach { id =>
           out += ((level, id) -> Gbp.aggregate(q, Gbp.credits(g, sets(id), alpha, rbmax).est))
         }
@@ -100,13 +105,14 @@ object PPRviz {
     out.result()
   }
 
-  /** Children + their level-(ℓ-1) ids for a selected supernode; id = -1
-    * addresses the virtual root (coarsest supergraph).
+  /** Children + their level-(ℓ-1) ids for a selected supernode; level
+    * nLevels+1 with id = -1 addresses the virtual root (coarsest
+    * supergraph). Any other address must name a supernode.
     */
   def queryWithIds(hier: Hierarchy, level: Int, id: Int): (SuperQuery, Array[Int]) =
-    if (id == -1) {
-      val top = hier.levelSize(hier.nLevels)
-      (hier.rootQuery, Array.tabulate(top)(identity))
+    if (level == hier.nLevels + 1) {
+      require(id == -1, s"level $level holds only the virtual root, id -1; got id $id")
+      (hier.rootQuery, Array.tabulate(hier.levelSize(hier.nLevels))(identity))
     } else {
       val cs = hier.childrenOf(level, id)
       (SuperQuery(hier.g.n, cs.map(c => hier.leafSets(level - 1)(c))), cs)
@@ -119,16 +125,7 @@ object PPRviz {
                  k: Int, alpha: Double = DefaultAlpha, eps: Double = DefaultEps,
                  deadline: Deadline = Deadline.none): TauPushResult = {
     val (q, ids) = queryWithIds(index.hier, level, id)
-    tauPush(g, index, q, level, ids, k, alpha, eps, deadline)
-  }
-
-  /** Tau-Push on a built query, reading GBP targets from the index. */
-  def tauPush(g: LocalGraph, index: PprVizIndex, q: SuperQuery, level: Int,
-              ids: Array[Int], k: Int, alpha: Double, eps: Double,
-              deadline: Deadline): TauPushResult = {
-    val lookup: Int => Option[Array[Double]] =
-      j => index.gbpAgg.get((level - 1, ids(j)))
     TauPush.run(g, q, index.leafDpr, alpha, eps, delta(k), TauPush.Standard,
-      deadline, lookup)
+      deadline, index.gbpLookup(level, ids))
   }
 }

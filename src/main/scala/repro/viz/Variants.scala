@@ -84,27 +84,11 @@ object Variants {
       case PiVar =>
         Dppr.perLeafMatrix(g, q, alpha, 1e-9, deadline)
       case ForaVar | ForaPlusVar | ResAccVar =>
-        val rnd = new Random(seed)
-        val out = Array.ofDim[Double](q.k, q.k)
-        var i = 0
-        while (i < q.k) {
-          val leaves = q.children(i)
-          leaves.foreach { s =>
-            deadline.check()
-            val est = Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.orNull,
-              if (vi.variant == ResAccVar) Fora.ResAccRmaxFactor else 1.0)
-            // Eq. 2 aggregation of the per-leaf single-source estimates.
-            var v = 0
-            while (v < g.n) {
-              val cj = q.members(v)
-              if (cj >= 0 && est(v) != 0.0)
-                out(i)(cj) += est(v) / (leaves.length.toDouble * q.size(cj))
-              v += 1
-            }
-          }
-          i += 1
+        val rnd        = new Random(seed)
+        val rmaxFactor = if (vi.variant == ResAccVar) Fora.ResAccRmaxFactor else 1.0
+        Dppr.perLeafAverage(q, deadline) { s =>
+          Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.orNull, rmaxFactor)
         }
-        out
       case TauPushVar | GfpTauMaxVar =>
         tauPush(vi, g, q, level, ids, k, alpha, eps, deadline).dppr
       case GfraVar =>
@@ -112,15 +96,17 @@ object Variants {
     }
   }
 
-  /** Tau-Push or GFP(τ_max) on PPRviz's own index. */
+  /** Tau-Push or GFP(τ_max) on PPRviz's own index (GFP(τ_max)'s holds no
+    * GBP entries, and its mode picks no GBP targets).
+    */
   private def tauPush(vi: VariantIndex, g: LocalGraph, q: SuperQuery, level: Int,
                       ids: Array[Int], k: Int, alpha: Double, eps: Double,
-                      deadline: Deadline): TauPushResult =
-    if (vi.variant == TauPushVar)
-      PPRviz.tauPush(g, vi.pprviz.get, q, level, ids, k, alpha, eps, deadline)
-    else
-      TauPush.run(g, q, vi.pprviz.get.leafDpr, alpha, eps, PPRviz.delta(k),
-        TauPush.GfpTauMax, deadline)
+                      deadline: Deadline): TauPushResult = {
+    val ix   = vi.pprviz.get
+    val mode = if (vi.variant == TauPushVar) TauPush.Standard else TauPush.GfpTauMax
+    TauPush.run(g, q, ix.leafDpr, alpha, eps, PPRviz.delta(k), mode, deadline,
+      ix.gbpLookup(level, ids))
+  }
 
   /** One visualization under a variant: DPPR → PDist → stress majorization.
     * Returns None when the deadline is exceeded (a "-" entry in Table 8).

@@ -48,6 +48,45 @@ class HierarchySpec extends AnyFunSuite {
     }
   }
 
+  /** `queryWithIds(level, id)` fails with a message naming both. */
+  private def rejects(level: Int, id: Int): Unit = {
+    val e = intercept[IllegalArgumentException](PPRviz.queryWithIds(hier, level, id))
+    assert(e.getMessage.contains(s"level $level") && e.getMessage.contains(id.toString),
+      e.getMessage)
+  }
+
+  test("queryWithIds rejects a level below 1") {
+    rejects(0, 0)
+    rejects(-1, -1)
+  }
+
+  test("queryWithIds rejects a level above the virtual root's") {
+    rejects(hier.nLevels + 2, -1)
+    rejects(hier.nLevels + 2, 0)
+  }
+
+  test("queryWithIds rejects id -1 below the virtual root's level") {
+    rejects(1, -1)
+    rejects(hier.nLevels, -1)
+  }
+
+  test("queryWithIds rejects a supernode id at the virtual root's level") {
+    rejects(hier.nLevels + 1, 0)
+  }
+
+  test("queryWithIds rejects an id outside the level") {
+    rejects(1, hier.levelSize(1))
+    rejects(hier.nLevels, hier.levelSize(hier.nLevels))
+    rejects(1, -2)
+  }
+
+  test("build rejects k < 2 up front") {
+    Seq(1, 0, -3).foreach { bad =>
+      val e = intercept[IllegalArgumentException](Hierarchy.build(g, bad))
+      assert(e.getMessage.contains("k >= 2") && e.getMessage.contains(s"k=$bad"), e.getMessage)
+    }
+  }
+
   test("query children leaf sets union to the supernode's leaf set") {
     val id = 0
     val q  = PPRviz.queryWithIds(hier, 1, id)._1
