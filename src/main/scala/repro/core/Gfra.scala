@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.Random
 import repro.graph.LocalGraph
-import repro.ppr.{Deadline, Fora, RandomWalk, WalkIndex}
+import repro.ppr.{Deadline, Fora, Par, PushResult, RandomWalk, WalkIndex}
 
 /** GFRA (Algorithm 4) — the ablation variant that keeps the grouped push
   * strategy (GFP) but refines with FORA-style random-walk sampling instead of
@@ -26,12 +26,15 @@ object Gfra {
     val rmax = math.sqrt(gamma * sumAvgDeg / (g.m.toDouble * w))
     val rnd  = new Random(seed)
 
-    val dppr = Array.ofDim[Double](k, k)
+    // GFP draws no random numbers: push every row as a pool task, then walk
+    // row by row in i order with the one seeded generator.
+    val fps = new Array[PushResult](k)
+    Par.forEach(k)(i => fps(i) = Gfp.run(g, q, i, alpha, rmax, deadline))
+    val dppr = fps.map(_.est)
     var i = 0
     while (i < k) {
-      val fp  = Gfp.run(g, q, i, alpha, rmax, deadline)
-      val row = fp.est
-      dppr(i) = row
+      val fp  = fps(i)
+      val row = dppr(i)
       if (fp.rsum > 0.0) {
         val omega = math.max(1L, math.ceil(fp.rsum / gamma * w).toLong)
         RandomWalk.walks(g, fp, omega, alpha, walkIndex, rnd, deadline) { end =>
@@ -39,6 +42,7 @@ object Gfra {
           if (cj >= 0) row(cj) += fp.rsum / (omega.toDouble * q.size(cj))
         }
       }
+      fps(i) = null
       i += 1
     }
     dppr

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.ppr.{Deadline, Dpr}
+import repro.ppr.{Deadline, Dpr, Par}
 
 /** Output of Algorithm 1: the approximate level-ℓ DPPR matrix, the PDist
   * matrix derived from it via Eq. 1, and work counters.
@@ -25,6 +25,11 @@ final case class TauPushResult(
   * The `GfpTauMax` mode is the ablation variant GFP(τ_max) of §7.4: it picks
   * no GBP targets, so GFP pushes deep enough for τ = max_j τ_j to satisfy
   * Lemma 4.1 for every target by itself and no GBP runs.
+  *
+  * The k GFP rows and the live GBP runs are independent and run as
+  * [[Par.forEach]] tasks sharing the click's deadline; each keeps its own
+  * seeds, FIFO order and sums, so every output is the same for any thread
+  * count.
   */
 object TauPush {
 
@@ -79,34 +84,39 @@ object TauPush {
     val tauCover = if (covered.isEmpty || covered.max <= 0.0) tau(k, n) else covered.max
     val rmax     = eps * delta / (g.m.toDouble * tauCover)
 
-    var pushes = 0L
-    val dppr = Array.ofDim[Double](k, k)
-    var i = 0
-    while (i < k) {
-      val r = Gfp.run(g, q, i, alpha, rmax, deadline)
-      dppr(i) = r.est
-      pushes += r.pushes
-      i += 1
+    // GBP lookups stay on this thread, in j order (a caller's lookup need
+    // not be thread-safe); only the live fallbacks join the GFP rows as pool
+    // tasks. Each task writes its own slot.
+    val rb       = rbmax(g, q, eps, delta)
+    val refined  = Array.tabulate(k)(j => if (target(j)) gbpLookup(j).orNull else null)
+    val live     = (0 until k).filter(j => target(j) && refined(j) == null).toArray
+    val dppr     = new Array[Array[Double]](k)
+    val pushesOf = new Array[Long](k + live.length)
+    Par.forEach(k + live.length) { t =>
+      if (t < k) {
+        val r = Gfp.run(g, q, t, alpha, rmax, deadline)
+        dppr(t) = r.est
+        pushesOf(t) = r.pushes
+      } else {
+        val j = live(t - k)
+        val c = Gbp.credits(g, q.children(j), alpha, rb, deadline)
+        refined(j) = Gbp.aggregate(q, c.est)
+        pushesOf(t) = c.pushes
+      }
     }
 
-    val rb = rbmax(g, q, eps, delta)
     var j = 0
     while (j < k) {
       if (target(j)) {
-        val refined = gbpLookup(j).getOrElse {
-          val c = Gbp.credits(g, q.children(j), alpha, rb, deadline)
-          pushes += c.pushes
-          Gbp.aggregate(q, c.est)
-        }
         var s = 0
         while (s < k) {
-          if (s != j) dppr(s)(j) = refined(s)
+          if (s != j) dppr(s)(j) = refined(j)(s)
           s += 1
         }
       }
       j += 1
     }
 
-    TauPushResult(dppr, PDist.matrix(dppr, n), target.count(identity), pushes)
+    TauPushResult(dppr, PDist.matrix(dppr, n), target.count(identity), pushesOf.sum)
   }
 }

@@ -31,11 +31,18 @@ object VariantTables {
       }
     }
 
+  /** Which parallelism produced the timings: Tau-Push, GFP(τ_max) and GFRA
+    * push their rows, and PPRviz builds its GBP index, on the common
+    * fork-join pool; everything else runs on one thread.
+    */
+  def threadsLine: String =
+    s"threads: ${Runtime.getRuntime.availableProcessors} available processors\n"
+
   def fmtResp(r: Option[Double]): String = r.map(v => f"$v%.3f").getOrElse("-")
 
   def render(rows: Seq[Row]): String = {
     val byGraph = rows.groupBy(_.graph)
-    val sb = new StringBuilder
+    val sb = new StringBuilder(threadsLine)
     def table(title: String, ours: Row => String, paper: String => Seq[String]): Unit = {
       sb.append(s"== $title ==\n")
       sb.append("graph    | " + PaperNumbers.VariantNames.map(v => f"$v%10s").mkString(" ") + "\n")

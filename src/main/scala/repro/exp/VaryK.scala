@@ -22,7 +22,7 @@ object VaryK {
     }
 
   def render(rows: Seq[Row]): String = {
-    val sb = new StringBuilder
+    val sb = new StringBuilder(VariantTables.threadsLine)
     sb.append("== Table 7: PPRviz on Twitter(-lite) by k (seconds) ==\n")
     sb.append("k              | " + rows.map(r => f"${r.k}%9d").mkString(" ") + "\n")
     sb.append("Pre (ours)     | " + rows.map(r => f"${r.preprocessing}%9.2f").mkString(" ") + "\n")

@@ -28,7 +28,7 @@ object RandomWalk {
   private[repro] def walks(g: LocalGraph, push: PushResult, omega: Long, alpha: Double,
                            walkIndex: WalkIndex, rnd: Random, deadline: Deadline)(
                            endpoint: Int => Unit): Unit = {
-    val sampler = residueSampler(push.residue, push.rsum)
+    val sampler = new ResidueSampler(push.residue)
     var i = 0L
     while (i < omega) {
       if ((i & 0xff) == 0) deadline.check()
@@ -37,25 +37,37 @@ object RandomWalk {
       i += 1
     }
   }
+}
 
-  /** Cumulative-weight sampler over sparse residues: returns a function that
-    * draws a node index with probability residue(v)/rsum. Built once per
-    * sampling phase (O(#nonzero) setup, O(log) per draw).
-    */
-  def residueSampler(residue: Array[Double], rsum: Double): Random => Int = {
-    val idx = residue.indices.filter(residue(_) > 0.0).toArray
-    val cum = new Array[Double](idx.length)
+/** Cumulative-weight sampler over sparse residues: draws a node index with
+  * probability residue(v)/Σ residue. Built once per sampling phase (O(n)
+  * primitive scan, O(log #nonzero) per draw).
+  */
+final class ResidueSampler(residue: Array[Double]) {
+  private val idx = {
+    var nz = 0
+    var v  = 0
+    while (v < residue.length) { if (residue(v) > 0.0) nz += 1; v += 1 }
+    val a = new Array[Int](nz)
+    nz = 0; v = 0
+    while (v < residue.length) { if (residue(v) > 0.0) { a(nz) = v; nz += 1 }; v += 1 }
+    a
+  }
+  private val cum = new Array[Double](idx.length)
+  private val total = {
     var acc = 0.0
     var i = 0
     while (i < idx.length) { acc += residue(idx(i)); cum(i) = acc; i += 1 }
-    (rnd: Random) => {
-      val x = rnd.nextDouble() * acc
-      var lo = 0; var hi = idx.length - 1
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        if (cum(mid) < x) lo = mid + 1 else hi = mid
-      }
-      idx(lo)
+    acc
+  }
+
+  def apply(rnd: Random): Int = {
+    val x = rnd.nextDouble() * total
+    var lo = 0; var hi = idx.length - 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (cum(mid) < x) lo = mid + 1 else hi = mid
     }
+    idx(lo)
   }
 }

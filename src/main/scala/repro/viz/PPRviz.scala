@@ -3,7 +3,7 @@ package repro.viz
 import repro.core.{Gbp, SuperQuery, TauPush, TauPushResult}
 import repro.graph.LocalGraph
 import repro.hierarchy.Hierarchy
-import repro.ppr.{Deadline, Dpr}
+import repro.ppr.{Deadline, Dpr, Par}
 
 /** The PPRviz preprocessing output (Fig. 7 left): supergraph hierarchy,
   * leaf DPR vector, and precomputed GBP results for every supernode that
@@ -79,8 +79,8 @@ object PPRviz {
   def buildGbpAggregates(g: LocalGraph, hier: Hierarchy, leafDpr: Array[Double],
                          k: Int, alpha: Double,
                          eps: Double): Map[(Int, Int), Array[Double]] = {
-    val del = delta(k)
-    val out = Map.newBuilder[(Int, Int), Array[Double]]
+    val del  = delta(k)
+    val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
     var level = 0
     while (level <= hier.nLevels) {
       val sets = hier.leafSets(level)
@@ -96,13 +96,18 @@ object PPRviz {
       byParent.foreach { case (p, targets) =>
         val (q, _) = queryWithIds(hier, level + 1, p)
         val rbmax  = TauPush.rbmax(g, q, eps, del)
-        targets.foreach { id =>
-          out += ((level, id) -> Gbp.aggregate(q, Gbp.credits(g, sets(id), alpha, rbmax).est))
-        }
+        targets.foreach(id => jobs += (((level, id), q, sets(id), rbmax)))
       }
       level += 1
     }
-    out.result()
+    // One pool task per target, each writing only its own entry.
+    val todo = jobs.result()
+    val agg  = new Array[Array[Double]](todo.length)
+    Par.forEach(todo.length) { t =>
+      val (_, q, leaves, rbmax) = todo(t)
+      agg(t) = Gbp.aggregate(q, Gbp.credits(g, leaves, alpha, rbmax).est)
+    }
+    todo.iterator.map(_._1).zip(agg).toMap
   }
 
   /** Children + their level-(ℓ-1) ids for a selected supernode; level

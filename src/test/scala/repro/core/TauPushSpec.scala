@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, LocalGraph}
 import repro.hierarchy.Hierarchy
 import repro.ppr.{Deadline, Dpr}
 import repro.viz.PPRviz
@@ -98,6 +98,66 @@ class TauPushSpec extends AnyFunSuite {
       val err = math.abs(res.pdist(i)(j) - exact(i)(j))
       assert(err <= theta * math.max(exact(i)(j), sigma) + 1e-6,
         s"pair ($i,$j) err=$err")
+    }
+  }
+
+  // A test-local sequential Tau-Push: GFP rows in i order, then each live
+  // GBP result overwrites its target column in j order.
+  private def sequential(g: LocalGraph, q: SuperQuery, dpr: Array[Double],
+                         delta: Double): TauPushResult = {
+    val k      = q.k
+    val tauJ   = Array.tabulate(k)(j => Dpr.ofSupernode(dpr, q.children(j)))
+    val target = tauJ.map(TauPush.isGbpTarget(_, k, g.n))
+    val covered  = tauJ.filterNot(TauPush.isGbpTarget(_, k, g.n))
+    val tauCover = if (covered.isEmpty || covered.max <= 0.0) TauPush.tau(k, g.n) else covered.max
+    val rmax     = eps * delta / (g.m.toDouble * tauCover)
+    var pushes = 0L
+    val dppr = Array.tabulate(k) { i =>
+      val r = Gfp.run(g, q, i, alpha, rmax)
+      pushes += r.pushes
+      r.est
+    }
+    val rb = TauPush.rbmax(g, q, eps, delta)
+    (0 until k).filter(target(_)).foreach { j =>
+      val c       = Gbp.credits(g, q.children(j), alpha, rb)
+      val refined = Gbp.aggregate(q, c.est)
+      pushes += c.pushes
+      (0 until k).foreach(s => if (s != j) dppr(s)(j) = refined(s))
+    }
+    TauPushResult(dppr, PDist.matrix(dppr, g.n), target.count(identity), pushes)
+  }
+
+  test("parallel Tau-Push equals a sequential run exactly, with every GBP target live") {
+    val hub   = GraphGen.hubHeavy(2000, 4, 20, 2, seed = 5)
+    val hh    = Hierarchy.build(hub, 10)
+    val hdpr  = Dpr.vector(hub, alpha)
+    val delta = 1.0 / (10.0 * 10)
+    val queries = (hh.nLevels + 1, -1) +:
+      (1 to hh.nLevels).flatMap(l => (0 until hh.levelSize(l)).map((l, _)))
+    var liveTargets = 0
+    queries.foreach { case (level, id) =>
+      val q   = PPRviz.queryWithIds(hh, level, id)._1
+      val par = TauPush.run(hub, q, hdpr, alpha, eps, delta)
+      val seq = sequential(hub, q, hdpr, delta)
+      liveTargets += par.gbpTargets
+      assert(par.gbpTargets == seq.gbpTargets, s"query ($level,$id)")
+      assert(par.pushes == seq.pushes, s"query ($level,$id)")
+      (0 until q.k).foreach { i =>
+        assert(java.util.Arrays.equals(par.dppr(i), seq.dppr(i)), s"query ($level,$id) dppr row $i")
+        assert(java.util.Arrays.equals(par.pdist(i), seq.pdist(i)), s"query ($level,$id) pdist row $i")
+      }
+    }
+    assert(liveTargets > 0, "expected live GBP targets")
+  }
+
+  test("a deadline that passes mid-query aborts parallel Tau-Push") {
+    // Ten 2000-leaf children and r_max near 1e-13 push far longer than the
+    // 5 ms the rows share.
+    val big = GraphGen.powerLaw(20000, 5, seed = 2)
+    val q   = SuperQuery(big.n, Array.tabulate(10)(c => Array.range(2000 * c, 2000 * (c + 1))))
+    intercept[Deadline.Exceeded] {
+      TauPush.run(big, q, Array.fill(big.n)(1.0 / big.n), alpha, eps, 1e-9,
+        TauPush.Standard, Deadline.in(0.005))
     }
   }
 

@@ -86,7 +86,7 @@ class ForaSpec extends AnyFunSuite {
 
   test("residue sampler draws proportionally to residues") {
     val res = Array(0.0, 1.0, 3.0, 0.0, 1.0)
-    val sampler = RandomWalk.residueSampler(res, 5.0)
+    val sampler = new ResidueSampler(res)
     val rnd = new Random(12)
     val counts = new Array[Int](5)
     (0 until 10000).foreach(_ => counts(sampler(rnd)) += 1)
