@@ -96,13 +96,15 @@ class LouvainOracleSpec extends AnyFunSuite {
 
   test("a node with 14 neighbouring communities grows the tracked table past 16") {
     // Node 0, visited first, has 14 leaves: the table doubles to 32 before
-    // node 1 breaks its tie between hubs 3 and 19, which share a bucket at 16.
-    val g  = tiedCliques(1, Seq(3, 19), (200 until 214).map(l => (0, l)))
+    // node 1 breaks its tie between hubs 3, 19 and 51, which share a bucket
+    // at 16. At 32, 3 has its bucket to itself and comes first; at 16 the
+    // newest of the three, 51, would.
+    val g  = tiedCliques(1, Seq(19, 3, 51), (180 until 194).map(l => (0, l)))
     val wg = ReferenceLouvain.WGraph.fromLocal(g)
-    assert(wg.adj(1).map(_._1).toSeq == Seq(3, 19))
+    assert(wg.adj(1).map(_._1).toSeq == Seq(3, 19, 51))
     sameAsReference("growth", g, 25)
     val a = Louvain.pass(WGraph.fromLocal(g), 25, maxSweeps = 1)
     assert(a.sameElements(ReferenceLouvain.Louvain.pass(wg, 25, maxSweeps = 1)))
-    assert(a(1) == a(3) && a(1) != a(19))
+    assert(a(1) == a(3) && a(1) != a(19) && a(1) != a(51))
   }
 }
