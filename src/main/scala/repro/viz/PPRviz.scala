@@ -81,24 +81,22 @@ object PPRviz {
                          eps: Double): Map[(Int, Int), Array[Double]] = {
     val del  = delta(k)
     val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
-    var level = 0
-    while (level <= hier.nLevels) {
-      val sets = hier.leafSets(level)
-      // Parent -1 is the virtual root, whose query is the coarsest level.
-      val parent =
-        if (level == hier.nLevels) Array.fill(sets.length)(-1) else hier.parents(level)
-      val fanout = parent.groupMapReduce(identity)(_ => 1)(_ + _)
-      // Group targets by parent so each parent query is built once.
-      val byParent = sets.indices
-        .filter(id => TauPush.isGbpTarget(Dpr.ofSupernode(leafDpr, sets(id)),
-          fanout(parent(id)), g.n))
-        .groupBy(parent(_))
-      byParent.foreach { case (p, targets) =>
-        val (q, _) = queryWithIds(hier, level + 1, p)
-        val rbmax  = TauPush.rbmax(g, q, eps, del)
-        targets.foreach(id => jobs += (((level, id), q, sets(id), rbmax)))
+    // Targets grouped by parent from the hierarchy's child lists, so each
+    // parent query is built once. Level nLevels + 1 holds only the virtual
+    // root, id -1, whose children are the coarsest level.
+    for (level <- 1 to hier.nLevels + 1) {
+      val sets = hier.leafSets(level - 1)
+      val root = level > hier.nLevels
+      for (p <- if (root) Seq(-1) else 0 until hier.levelSize(level)) {
+        val children = if (root) Array.range(0, sets.length) else hier.childrenOf(level, p)
+        val targets  = children.filter(c =>
+          TauPush.isGbpTarget(Dpr.ofSupernode(leafDpr, sets(c)), children.length, g.n))
+        if (targets.nonEmpty) {
+          val (q, _) = queryWithIds(hier, level, p)
+          val rbmax  = TauPush.rbmax(g, q, eps, del)
+          targets.foreach(c => jobs += (((level - 1, c), q, sets(c), rbmax)))
+        }
       }
-      level += 1
     }
     // One pool task per target, each writing only its own entry.
     val todo = jobs.result()

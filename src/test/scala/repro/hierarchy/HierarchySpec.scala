@@ -155,8 +155,10 @@ class HierarchySpec extends AnyFunSuite {
   test("WGraph.fromLocal symmetrizes and counts arc multiplicity") {
     val gg = LocalGraph.fromArcs(3, Seq((0, 1), (1, 0), (1, 2)))
     val wg = WGraph.fromLocal(gg)
-    val w01 = wg.adj(0).find(_._1 == 1).map(_._2)
-    val w12 = wg.adj(1).find(_._1 == 2).map(_._2)
+    def weight(a: Int, b: Int): Option[Double] =
+      (wg.off(a) until wg.off(a + 1)).find(wg.nbr(_) == b).map(wg.w(_))
+    val w01 = weight(0, 1)
+    val w12 = weight(1, 2)
     assert(w01.contains(2.0)) // both directions present
     assert(w12.contains(1.0))
   }
