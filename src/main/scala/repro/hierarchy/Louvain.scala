@@ -363,8 +363,9 @@ object Louvain {
       }
       i += 1
     }
-    // Pair leftover singleton communities (disconnected pieces) arbitrarily,
-    // in id order; pairing two of them leaves the later ones singletons.
+    // Pair leftover singleton communities (disconnected pieces) arbitrarily:
+    // consecutive ones in id order. A merge touches only its own pair, so
+    // the scan meets the same singletons as a list made up front would.
     var open = -1
     v = 0
     while (v < n) {
