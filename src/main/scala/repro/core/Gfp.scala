@@ -20,11 +20,13 @@ object Gfp {
     */
   def run(g: LocalGraph, q: SuperQuery, srcChild: Int, alpha: Double,
           rmax: Double, deadline: Deadline = Deadline.none): PushResult = {
-    val srcLeaves = q.children(srcChild)
-    val srcSize   = srcLeaves.length.toDouble
-    val est       = new Array[Double](q.k)
-    Push.forward(g, srcLeaves, srcLeaves.map(g.outDeg(_) / srcSize), alpha, rmax,
-        deadline, est) { (v, r) =>
+    val srcLeaves   = q.children(srcChild)
+    val srcSize     = srcLeaves.length.toDouble
+    val seedResidue = new Array[Double](srcLeaves.length)
+    var i = 0
+    while (i < srcLeaves.length) { seedResidue(i) = g.outDeg(srcLeaves(i)) / srcSize; i += 1 }
+    val est = new Array[Double](q.k)
+    Push.forward(g, srcLeaves, seedResidue, alpha, rmax, deadline, est) { (v, r) =>
       val cj = q.members(v)
       if (cj >= 0) est(cj) += alpha * r / q.size(cj)
     }
@@ -51,9 +53,10 @@ object Gbp {
     */
   def credits(g: LocalGraph, targetLeaves: Array[Int], alpha: Double,
               rbmax: Double, deadline: Deadline = Deadline.none): PushResult = {
+    val seedResidue = new Array[Double](targetLeaves.length)
+    java.util.Arrays.fill(seedResidue, 1.0 / targetLeaves.length)
     val credit = new Array[Double](g.n)
-    Push.backward(g, targetLeaves, Array.fill(targetLeaves.length)(1.0 / targetLeaves.length),
-        alpha, rbmax, deadline, credit) { (v, r) =>
+    Push.backward(g, targetLeaves, seedResidue, alpha, rbmax, deadline, credit) { (v, r) =>
       credit(v) += alpha * g.outDeg(v) * r
     }
   }

@@ -51,14 +51,21 @@ object SuperQuery {
 
   def apply(n: Int, children: Array[Array[Int]]): SuperQuery = {
     require(children.nonEmpty, "query needs at least one child supernode")
-    val members = Array.fill(n)(-1)
-    children.zipWithIndex.foreach { case (leaves, i) =>
+    val members = new Array[Int](n)
+    java.util.Arrays.fill(members, -1)
+    var i = 0
+    while (i < children.length) {
+      val leaves = children(i)
       require(leaves.nonEmpty, s"child supernode $i has no leaves")
-      leaves.foreach { v =>
+      var j = 0
+      while (j < leaves.length) {
+        val v = leaves(j)
         require(v >= 0 && v < n, s"leaf $v of child supernode $i is outside [0, $n)")
         require(members(v) == -1, s"leaf $v assigned to two supernodes")
         members(v) = i
+        j += 1
       }
+      i += 1
     }
     new SuperQuery(n, children, members)
   }

@@ -28,6 +28,16 @@ final class LocalGraph private[graph] (
   @inline def outDeg(v: Int): Int = outOff(v + 1) - outOff(v)
   @inline def inDeg(v: Int): Int  = inOff(v + 1) - inOff(v)
 
+  /** Out-degrees as doubles, built once for the push kernels: int → double is
+    * exact, so `outDegD(v) * x` has the bits of `outDeg(v) * x`.
+    */
+  private[repro] lazy val outDegD: Array[Double] = {
+    val d = new Array[Double](n)
+    var v = 0
+    while (v < n) { d(v) = outDeg(v).toDouble; v += 1 }
+    d
+  }
+
   /** Iterate the out-neighbours of `v` without allocating. */
   @inline def foreachOut(v: Int)(f: Int => Unit): Unit = {
     var i = outOff(v); val end = outOff(v + 1)

@@ -54,9 +54,9 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 
   /** Query for the coarsest supergraph (the visualization the zoom-in path
     * starts from — "the supergraph on the highest level corresponds to the
-    * entire graph", §7.1).
+    * entire graph", §7.1). Built once: every zoom path starts here.
     */
-  def rootQuery: SuperQuery = {
+  lazy val rootQuery: SuperQuery = {
     val top = levelSize(nLevels)
     SuperQuery(g.n, Array.tabulate(top)(id => leafSets(nLevels)(id)))
   }

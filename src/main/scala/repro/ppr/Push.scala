@@ -4,14 +4,24 @@ import repro.graph.LocalGraph
 
 /** Result of a push run: the array the credit sink accumulated into (per-node
   * estimates, per-child estimates or per-node GBP credits), per-node leftover
-  * residues and their sum, plus the number of push operations performed.
+  * residues, plus the number of push operations performed.
   */
 final case class PushResult(
     est: Array[Double],
     residue: Array[Double],
-    rsum: Double,
     pushes: Long,
-)
+) {
+
+  /** Σ_v r(v), summed in node order on first read: an O(n) pass that only
+    * FORA and GFRA (and tests) pay for.
+    */
+  lazy val rsum: Double = {
+    var s = 0.0
+    var i = 0
+    while (i < residue.length) { s += residue(i); i += 1 }
+    s
+  }
+}
 
 /** The two push kernels every PPR engine here is built from: Forward-Push
   * (Andersen et al. [4]), grouped by GFP (Alg. 2), and Backward-Push
@@ -23,6 +33,13 @@ final case class PushResult(
   * node v with residue r is handed to the credit sink once, as `credit(v, r)`;
   * the sink decides where α·r goes and writes into `est`, which the result
   * returns. The deadline is checked every 1024 queue pops.
+  *
+  * The queue holds unboxed ints, the edge loop reads the CSR arrays directly,
+  * and thresholds and shares read `LocalGraph.outDegD` (int → double is exact,
+  * so every product and quotient keeps its bits). Each call allocates its own
+  * zeroed `residue` and `inQueue`: a per-thread reused workspace measured
+  * slower on fork-join helpers, and a touched-list reset cost more than the
+  * zeroing saved (DESIGN.md, push kernels).
   */
 object Push {
 
@@ -35,32 +52,41 @@ object Push {
               est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
     val residue = seeded(g.n, seeds, seedResidue)
     val inQueue = new Array[Boolean](g.n)
-    val queue   = new java.util.ArrayDeque[Integer]()
-    seeds.foreach { v =>
-      if (residue(v) > g.outDeg(v) * rmax) { queue.add(v); inQueue(v) = true }
+    val deg     = g.outDegD
+    val off     = g.outOff
+    val adj     = g.outAdj
+    val queue   = new IntQueue(seeds.length)
+    var i = 0
+    while (i < seeds.length) {
+      val v = seeds(i)
+      if (residue(v) > deg(v) * rmax) { queue.add(v); inQueue(v) = true }
+      i += 1
     }
     var pushes = 0L
     var pops   = 0
     while (!queue.isEmpty) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(); inQueue(vk) = false
       val r  = residue(vk)
-      val dv = g.outDeg(vk)
+      val dv = deg(vk)
       if (r > dv * rmax) {
         credit(vk, r)
         val share = (1.0 - alpha) * r / dv
         residue(vk) = 0.0
-        g.foreachOut(vk) { u =>
-          residue(u) += share
-          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) {
-            queue.add(u); inQueue(u) = true
-          }
+        var e = off(vk); val end = off(vk + 1)
+        pushes += end - e
+        while (e < end) {
+          val u  = adj(e)
+          val ru = residue(u) + share
+          residue(u) = ru
+          // Rarely true, so one non-short-circuit test predicts well.
+          if ((ru > deg(u) * rmax) & !inQueue(u)) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
-        pushes += dv
       }
     }
-    result(est, residue, pushes)
+    PushResult(est, residue, pushes)
   }
 
   /** Backward push along in-edges: while some node has `r(v) > rbmax`,
@@ -72,28 +98,39 @@ object Push {
                est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
     val residue = seeded(g.n, seeds, seedResidue)
     val inQueue = new Array[Boolean](g.n)
-    val queue   = new java.util.ArrayDeque[Integer]()
-    seeds.foreach { v =>
+    val deg     = g.outDegD
+    val off     = g.inOff
+    val adj     = g.inAdj
+    val queue   = new IntQueue(seeds.length)
+    var i = 0
+    while (i < seeds.length) {
+      val v = seeds(i)
       if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
+      i += 1
     }
     var pushes = 0L
     var pops   = 0
     while (!queue.isEmpty) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(); inQueue(vk) = false
       val r  = residue(vk)
       if (r > rbmax) {
         credit(vk, r)
+        val spread = (1.0 - alpha) * r
         residue(vk) = 0.0
-        g.foreachIn(vk) { u =>
-          residue(u) += (1.0 - alpha) * r / g.outDeg(u)
-          if (!inQueue(u) && residue(u) > rbmax) { queue.add(u); inQueue(u) = true }
+        var e = off(vk); val end = off(vk + 1)
+        pushes += end - e
+        while (e < end) {
+          val u  = adj(e)
+          val ru = residue(u) + spread / deg(u)
+          residue(u) = ru
+          if ((ru > rbmax) & !inQueue(u)) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
-        pushes += g.inDeg(vk)
       }
     }
-    result(est, residue, pushes)
+    PushResult(est, residue, pushes)
   }
 
   private def seeded(n: Int, seeds: Array[Int], seedResidue: Array[Double]): Array[Double] = {
@@ -103,11 +140,36 @@ object Push {
     residue
   }
 
-  private def result(est: Array[Double], residue: Array[Double], pushes: Long): PushResult = {
-    var rsum = 0.0
-    var i = 0
-    while (i < residue.length) { rsum += residue(i); i += 1 }
-    PushResult(est, residue, rsum, pushes)
+  /** FIFO queue of node ids on a power-of-two ring that doubles when full. A
+    * repeated seed enters once per copy, so it may hold more than n entries.
+    */
+  private final class IntQueue(expected: Int) {
+    private var buf  = new Array[Int](Integer.highestOneBit(math.max(expected, 64) - 1) << 1)
+    private var head = 0
+    private var size = 0
+
+    def isEmpty: Boolean = size == 0
+
+    def add(v: Int): Unit = {
+      if (size == buf.length) grow()
+      buf((head + size) & (buf.length - 1)) = v
+      size += 1
+    }
+
+    def poll(): Int = {
+      val v = buf(head)
+      head = (head + 1) & (buf.length - 1)
+      size -= 1
+      v
+    }
+
+    private def grow(): Unit = {
+      val next = new Array[Int](buf.length * 2)
+      System.arraycopy(buf, head, next, 0, buf.length - head)
+      System.arraycopy(buf, 0, next, buf.length - head, head)
+      buf = next
+      head = 0
+    }
   }
 }
 
