@@ -34,12 +34,13 @@ final case class PushResult(
   * the sink decides where α·r goes and writes into `est`, which the result
   * returns. The deadline is checked every 1024 queue pops.
   *
-  * The queue holds unboxed ints, the edge loop reads the CSR arrays directly,
-  * and thresholds and shares read `LocalGraph.outDegD` (int → double is exact,
-  * so every product and quotient keeps its bits). Each call allocates its own
-  * zeroed `residue` and `inQueue`: a per-thread reused workspace measured
-  * slower on fork-join helpers, and a touched-list reset cost more than the
-  * zeroing saved (DESIGN.md, push kernels).
+  * The queue is a ring of unboxed ints, the edge loop reads the CSR arrays
+  * directly and makes no call, and thresholds and shares read
+  * `LocalGraph.outDegD` (int → double is exact, so every product and quotient
+  * keeps its bits). Each call allocates its own zeroed `residue` and
+  * `inQueue`: a per-thread reused workspace measured slower on fork-join
+  * helpers, and a touched-list reset cost more than the zeroing saved
+  * (DESIGN.md, layering note).
   */
 object Push {
 
@@ -55,19 +56,24 @@ object Push {
     val deg     = g.outDegD
     val off     = g.outOff
     val adj     = g.outAdj
-    val queue   = new IntQueue(seeds.length)
+    // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
+    // tail only growing. A repeated seed enters once per copy, so the ring
+    // may need more than n slots.
+    var ring = new Array[Int](ringSize(seeds.length))
+    var head = 0
+    var tail = 0
     var i = 0
     while (i < seeds.length) {
       val v = seeds(i)
-      if (residue(v) > deg(v) * rmax) { queue.add(v); inQueue(v) = true }
+      if (residue(v) > deg(v) * rmax) { ring(tail) = v; tail += 1; inQueue(v) = true }
       i += 1
     }
     var pushes = 0L
     var pops   = 0
-    while (!queue.isEmpty) {
+    while (head != tail) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = queue.poll(); inQueue(vk) = false
+      val vk = ring(head & (ring.length - 1)); head += 1; inQueue(vk) = false
       val r  = residue(vk)
       val dv = deg(vk)
       if (r > dv * rmax) {
@@ -76,12 +82,19 @@ object Push {
         residue(vk) = 0.0
         var e = off(vk); val end = off(vk + 1)
         pushes += end - e
+        // Room for every neighbour up front, so the edge loop makes no call.
+        if (tail - head + (end - e) > ring.length) {
+          ring = unwrapped(ring, head, tail, end - e); tail -= head; head = 0
+        }
+        val mask = ring.length - 1
         while (e < end) {
           val u  = adj(e)
           val ru = residue(u) + share
           residue(u) = ru
           // Rarely true, so one non-short-circuit test predicts well.
-          if ((ru > deg(u) * rmax) & !inQueue(u)) { queue.add(u); inQueue(u) = true }
+          if ((ru > deg(u) * rmax) & !inQueue(u)) {
+            ring(tail & mask) = u; tail += 1; inQueue(u) = true
+          }
           e += 1
         }
       }
@@ -101,19 +114,24 @@ object Push {
     val deg     = g.outDegD
     val off     = g.inOff
     val adj     = g.inAdj
-    val queue   = new IntQueue(seeds.length)
+    // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
+    // tail only growing. A repeated seed enters once per copy, so the ring
+    // may need more than n slots.
+    var ring = new Array[Int](ringSize(seeds.length))
+    var head = 0
+    var tail = 0
     var i = 0
     while (i < seeds.length) {
       val v = seeds(i)
-      if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
+      if (residue(v) > rbmax) { ring(tail) = v; tail += 1; inQueue(v) = true }
       i += 1
     }
     var pushes = 0L
     var pops   = 0
-    while (!queue.isEmpty) {
+    while (head != tail) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = queue.poll(); inQueue(vk) = false
+      val vk = ring(head & (ring.length - 1)); head += 1; inQueue(vk) = false
       val r  = residue(vk)
       if (r > rbmax) {
         credit(vk, r)
@@ -121,11 +139,18 @@ object Push {
         residue(vk) = 0.0
         var e = off(vk); val end = off(vk + 1)
         pushes += end - e
+        // Room for every neighbour up front, so the edge loop makes no call.
+        if (tail - head + (end - e) > ring.length) {
+          ring = unwrapped(ring, head, tail, end - e); tail -= head; head = 0
+        }
+        val mask = ring.length - 1
         while (e < end) {
           val u  = adj(e)
           val ru = residue(u) + spread / deg(u)
           residue(u) = ru
-          if ((ru > rbmax) & !inQueue(u)) { queue.add(u); inQueue(u) = true }
+          if ((ru > rbmax) & !inQueue(u)) {
+            ring(tail & mask) = u; tail += 1; inQueue(u) = true
+          }
           e += 1
         }
       }
@@ -140,36 +165,18 @@ object Push {
     residue
   }
 
-  /** FIFO queue of node ids on a power-of-two ring that doubles when full. A
-    * repeated seed enters once per copy, so it may hold more than n entries.
+  /** The power of two ≥ `need`, at least 64. */
+  private def ringSize(need: Int): Int = Integer.highestOneBit(math.max(need, 64) - 1) << 1
+
+  /** The ring's entries head until tail, moved to the front of a ring at
+    * least twice as large with room for `extra` more.
     */
-  private final class IntQueue(expected: Int) {
-    private var buf  = new Array[Int](Integer.highestOneBit(math.max(expected, 64) - 1) << 1)
-    private var head = 0
-    private var size = 0
-
-    def isEmpty: Boolean = size == 0
-
-    def add(v: Int): Unit = {
-      if (size == buf.length) grow()
-      buf((head + size) & (buf.length - 1)) = v
-      size += 1
-    }
-
-    def poll(): Int = {
-      val v = buf(head)
-      head = (head + 1) & (buf.length - 1)
-      size -= 1
-      v
-    }
-
-    private def grow(): Unit = {
-      val next = new Array[Int](buf.length * 2)
-      System.arraycopy(buf, head, next, 0, buf.length - head)
-      System.arraycopy(buf, 0, next, buf.length - head, head)
-      buf = next
-      head = 0
-    }
+  private def unwrapped(ring: Array[Int], head: Int, tail: Int, extra: Int): Array[Int] = {
+    val size = tail - head
+    val next = new Array[Int](ringSize(math.max(2 * ring.length, size + extra)))
+    var i = 0
+    while (i < size) { next(i) = ring((head + i) & (ring.length - 1)); i += 1 }
+    next
   }
 }
 
