@@ -2,10 +2,10 @@ package repro
 
 import java.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dppr, Gbp, Gfra, TauPush}
+import repro.core.{Dppr, Gbp, Gfra, PDist, TauPush}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.hierarchy.Hierarchy
-import repro.layout.ForceDirected
+import repro.layout.{ForceDirected, StressMajorization}
 import repro.ppr.{Dpr, Fora, WalkIndex}
 import repro.viz.PPRviz
 
@@ -93,5 +93,55 @@ class PinnedOutputsSpec extends AnyFunSuite {
     val indexed = PPRviz.queryPDist(g, index, 1, 0, 10)
     pin("Tau-Push indexed pdist", bits(indexed.pdist), 0x662b8ebe6ea06d7fL)
     pin("Tau-Push indexed pushes", indexed.pushes, 154670L)
+  }
+
+  /** A symmetric k×k PDist matrix of a seeded random DPPR matrix on an
+    * n = 30000 graph: entries from the truncation floor 2 to 2·ln n.
+    */
+  private def seededPDist(k: Int, seed: Long): Array[Array[Double]] = {
+    val rnd = new Random(seed)
+    PDist.matrix(Array.fill(k, k)(if (rnd.nextInt(4) == 0) 0.0 else rnd.nextDouble() * 0.05), 30000)
+  }
+
+  test("stress majorization layouts of seeded PDist matrices are pinned") {
+    val expected = Map(
+      "k1" -> 0x00501133881640aeL, "k2" -> 0x8a42cc22ec26258cL, "k5" -> 0x25bb0d8c8c279c66L,
+      "k12" -> 0xf15c2f15ae843e59L, "k25" -> 0xc1b63d091d09d040L,
+      "coincident" -> 0xf3e42c42af76d816L, "skipped" -> 0x02293518e9e190acL,
+    )
+    // Δ = 1e-13 between nodes 2 and 5 draws them onto one point: their
+    // distance falls below 1e-12, so the sweeps take the random-nudge
+    // branch, and each nudge still moves both by about 1e-13.
+    val coincident = seededPDist(8, 33)
+    coincident(2)(5) = 1e-13; coincident(5)(2) = 1e-13
+    val skipped = seededPDist(9, 34)
+    // A non-positive off-diagonal entry drops that pair from every sum.
+    skipped(1)(6) = 0.0; skipped(6)(1) = 0.0
+    val cases = Seq(1, 2, 5, 12, 25).map(k => s"k$k" -> seededPDist(k, k.toLong)) ++
+      Seq("coincident" -> coincident, "skipped" -> skipped)
+    for ((name, d) <- cases)
+      pin(s"layout $name", bits(StressMajorization.layout(d, seed = 7)), expected(name))
+  }
+
+  test("Tau-Push clicks through PPRviz.queryPDist are pinned: root, mid level, level 1") {
+    val g     = GraphGen.hubHeavy(2000, 4, 20, 2, seed = 5)
+    val k     = 10
+    val index = PPRviz.preprocess(g, k)
+    val hier  = index.hier
+    // The zoom path to leaf 0, a hub: the level-1 click reads the GBP index.
+    val mid    = (hier.nLevels + 1) / 2
+    val clicks = Seq(hier.nLevels + 1 -> -1, mid -> hier.anc(mid)(0), 1 -> hier.anc(1)(0))
+    val expected = Seq(
+      (0xb8b68e2d046161cbL, 0x9ecab044e33e62dfL, 99664L, 0x99e763d826d9c157L),
+      (0x5b4888af81af5878L, 0x2fdb5589e9c876b9L, 196192L, 0xea5e0b2374552a95L),
+      (0xca9a449131280747L, 0x49e302cfa7cb1d77L, 841034L, 0xed0ce72507faab6fL),
+    )
+    for (((level, id), (dppr, pdist, pushes, layout)) <- clicks.zip(expected)) {
+      val res = PPRviz.queryPDist(g, index, level, id, k)
+      pin(s"click ($level,$id) dppr", bits(res.dppr), dppr)
+      pin(s"click ($level,$id) pdist", bits(res.pdist), pdist)
+      pin(s"click ($level,$id) pushes", res.pushes, pushes)
+      pin(s"click ($level,$id) layout", bits(StressMajorization.layout(res.pdist, seed = 7)), layout)
+    }
   }
 }
