@@ -27,7 +27,7 @@ object Gfp {
     while (i < srcLeaves.length) { seedResidue(i) = g.outDeg(srcLeaves(i)) / srcSize; i += 1 }
     val est = new Array[Double](q.k)
     Push.forward(g, srcLeaves, seedResidue, alpha, rmax, deadline, est) { (v, r) =>
-      val cj = q.members(v)
+      val cj = q.childOf(v)
       if (cj >= 0) est(cj) += alpha * r / q.size(cj)
     }
   }
@@ -43,8 +43,9 @@ object Gfp {
   *
   * The per-node credit vector is *query independent* (propagation never reads
   * S), which is what makes the paper's GBP precomputation / indexing scheme
-  * (§4.3) possible: [[run]] aggregates live against a query, while
-  * [[credits]] returns the raw sparse credit vector for the index.
+  * (§4.3) possible: [[credits]] returns the raw credit vector, and
+  * [[aggregate]] turns it into the estimates of one query, live in Tau-Push
+  * or offline for the index.
   */
 object Gbp {
 
@@ -66,9 +67,4 @@ object Gbp {
     val sums = q.childSums(credit)
     Array.tabulate(q.k)(i => sums(i) / q.size(i))
   }
-
-  /** Algorithm 3 end-to-end: estimates π̂_d(V_i, V_j) for every child V_i. */
-  def run(g: LocalGraph, q: SuperQuery, tgtChild: Int, alpha: Double,
-          rbmax: Double, deadline: Deadline = Deadline.none): Array[Double] =
-    aggregate(q, credits(g, q.children(tgtChild), alpha, rbmax, deadline).est)
 }

@@ -22,7 +22,7 @@ object Gfra {
     val k = q.k
     val w = Fora.walkCountW(eps, delta, pf)
     val gamma = (0 until k).map(q.size).min.toDouble
-    val sumAvgDeg = (0 until k).map(q.avgDeg(_, g.outDeg)).sum
+    val sumAvgDeg = q.avgDegs(g).sum
     val rmax = math.sqrt(gamma * sumAvgDeg / (g.m.toDouble * w))
     val rnd  = new Random(seed)
 
@@ -38,7 +38,7 @@ object Gfra {
       if (fp.rsum > 0.0) {
         val omega = math.max(1L, math.ceil(fp.rsum / gamma * w).toLong)
         RandomWalk.walks(g, fp, omega, alpha, walkIndex, rnd, deadline) { end =>
-          val cj = q.members(end)
+          val cj = q.childOf(end)
           if (cj >= 0) row(cj) += fp.rsum / (omega.toDouble * q.size(cj))
         }
       }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.ppr.{Deadline, Dpr, Par}
+import repro.ppr.{Deadline, Par}
 
 /** Output of Algorithm 1: the approximate level-ℓ DPPR matrix, the PDist
   * matrix derived from it via Eq. 1, and work counters.
@@ -44,14 +44,19 @@ object TauPush {
   def tau(k: Int, n: Int): Double = 1.0 / math.sqrt(k.toDouble * n)
 
   /** Line 6: child V_j of a k-child query is a GBP target when its supernode
-    * DPR τ_j (Eq. 4, [[Dpr.ofSupernode]]) exceeds τ. The GBP index is built
+    * DPR τ_j (Eq. 4, [[SuperQuery.childDpr]]) exceeds τ. The GBP index is built
     * for exactly these targets of every query.
     */
   def isGbpTarget(tauJ: Double, k: Int, n: Int): Boolean = tauJ > tau(k, n)
 
   /** Eq. 6: r^b_max = ε·δ / max_i avgdeg(V_i) for GBP inside query `q`. */
-  private[repro] def rbmax(g: LocalGraph, q: SuperQuery, eps: Double, delta: Double): Double =
-    eps * delta / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+  private[repro] def rbmax(g: LocalGraph, q: SuperQuery, eps: Double, delta: Double): Double = {
+    val avg = q.avgDegs(g)
+    var mx  = avg(0)
+    var i   = 1
+    while (i < avg.length) { mx = math.max(mx, avg(i)); i += 1 }
+    eps * delta / mx
+  }
 
   /** @param leafDpr   precomputed leaf DPR vector (the O(n) index of §4.3)
     * @param gbpLookup optional precomputed GBP results for a child index:
@@ -69,7 +74,7 @@ object TauPush {
     val n = g.n
 
     def isTarget(tauJ: Double): Boolean = mode == Standard && isGbpTarget(tauJ, k, n)
-    val tauJ   = Array.tabulate(k)(j => Dpr.ofSupernode(leafDpr, q.children(j)))
+    val tauJ   = q.childDpr(leafDpr)
     val target = tauJ.map(isTarget)
 
     // Lemma 4.1 only requires r_max <= ε·δ/(m·τ_j) for the targets GFP is

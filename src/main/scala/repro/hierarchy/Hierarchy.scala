@@ -3,6 +3,7 @@ package repro.hierarchy
 import java.util.Random
 import repro.core.SuperQuery
 import repro.graph.LocalGraph
+import repro.ppr.Dpr
 
 /** Supergraph hierarchy (§2.2 / Fig. 7a): leaves are graph nodes (level 0);
   * `parents(ℓ)(i)` is the level-(ℓ+1) supernode containing level-ℓ node i.
@@ -30,9 +31,72 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     out
   }
 
+  /** slot(ℓ)(leaf) = the position of the leaf's level-ℓ ancestor among its
+    * parent's children, ascending as [[childrenOf]] lists them; at the top
+    * level, among the root's children, which is the ancestor's id itself
+    * (slot(nLevels) is anc(nLevels)). A query on supernode p at level ℓ finds
+    * leaf v in child slot(ℓ−1)(v) when anc(ℓ)(v) == p.
+    */
+  lazy val slot: Array[Array[Int]] = Array.tabulate(nLevels + 1) { l =>
+    if (l == nLevels) anc(l)
+    else {
+      val p      = parents(l)
+      val next   = new Array[Int](levelSize(l + 1))
+      val ofNode = new Array[Int](p.length)
+      var i = 0
+      while (i < p.length) { ofNode(i) = next(p(i)); next(p(i)) += 1; i += 1 }
+      val a   = anc(l)
+      val out = new Array[Int](g.n)
+      var v = 0
+      while (v < out.length) { out(v) = ofNode(a(v)); v += 1 }
+      out
+    }
+  }
+
+  /** The virtual root's level: every leaf's ancestor there is the root, id -1. */
+  private lazy val rootAnc: Array[Int] = {
+    val out = new Array[Int](g.n)
+    java.util.Arrays.fill(out, -1)
+    out
+  }
+
   /** Leaf sets per level: leafSets(ℓ)(id) = leaves whose level-ℓ ancestor is id. */
   lazy val leafSets: Array[Array[Array[Int]]] =
     Array.tabulate(nLevels + 1)(l => Hierarchy.group(anc(l), levelSize(l)))
+
+  /** avgdeg (Eq. 6) of every supernode, per level, from its leaf set in
+    * [[leafSets]] order: the values a query scanning its children's leaves
+    * would compute, built once.
+    */
+  lazy val supernodeAvgDeg: Array[Array[Double]] =
+    perSupernode(SuperQuery.avgDegree(_, g.outDeg))
+
+  /** τ (Eq. 4, [[Dpr.ofSupernode]]) of every supernode, per level, for a
+    * leaf DPR vector, from its leaf set in [[leafSets]] order. Built on the
+    * first request for a vector and kept, by identity and weakly, while the
+    * vector lives: an index builds it once and its queries read it.
+    */
+  def supernodeDpr(leafDpr: Array[Double]): Array[Array[Double]] = dprTables.synchronized {
+    var t = dprTables.get(leafDpr)
+    if (t == null) {
+      t = perSupernode(Dpr.ofSupernode(leafDpr, _))
+      dprTables.put(leafDpr, t)
+    }
+    t
+  }
+
+  // Arrays hash and compare by identity, so this map is keyed by identity.
+  @transient private lazy val dprTables =
+    new java.util.WeakHashMap[Array[Double], Array[Array[Double]]]()
+
+  /** f(leaf set) of every supernode, per level. */
+  private def perSupernode(f: Array[Int] => Double): Array[Array[Double]] =
+    leafSets.map { sets =>
+      val out = new Array[Double](sets.length)
+      var id = 0
+      while (id < sets.length) { out(id) = f(sets(id)); id += 1 }
+      out
+    }
 
   /** children(ℓ)(id) = level-(ℓ-1) ids under supernode `id` at level ℓ ≥ 1,
     * ascending; built once per level (children(0) is empty).
@@ -52,14 +116,23 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     children(level)(id)
   }
 
+  /** The query on supernode `id` at level ℓ, whose children are the
+    * level-(ℓ−1) nodes `ids`; level nLevels+1, id -1 is the virtual root.
+    * O(k): every array it reads is built once per hierarchy.
+    */
+  private[repro] def query(level: Int, id: Int, ids: Array[Int]): SuperQuery = {
+    val l     = level - 1
+    val owner = if (level > nLevels) rootAnc else anc(level)
+    SuperQuery.inHierarchy(g.n, ids.map(leafSets(l)(_)), owner, id, slot(l),
+      Hierarchy.gather(supernodeAvgDeg(l), ids),
+      leafDpr => Hierarchy.gather(supernodeDpr(leafDpr)(l), ids))
+  }
+
   /** Query for the coarsest supergraph (the visualization the zoom-in path
     * starts from — "the supergraph on the highest level corresponds to the
     * entire graph", §7.1). Built once: every zoom path starts here.
     */
-  lazy val rootQuery: SuperQuery = {
-    val top = levelSize(nLevels)
-    SuperQuery(g.n, Array.tabulate(top)(id => leafSets(nLevels)(id)))
-  }
+  lazy val rootQuery: SuperQuery = query(nLevels + 1, -1, Array.range(0, levelSize(nLevels)))
 
   /** One random zoom-in path: queries from the top level down to level 0,
     * following a uniformly random child at each step (§7.1's interactive
@@ -87,6 +160,14 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
 }
 
 object Hierarchy {
+
+  /** table(ids(i)) for every i. */
+  private def gather(table: Array[Double], ids: Array[Int]): Array[Double] = {
+    val out = new Array[Double](ids.length)
+    var i = 0
+    while (i < ids.length) { out(i) = table(ids(i)); i += 1 }
+    out
+  }
 
   /** Indices 0 until keys.length grouped by key (keys in [0, size)), each
     * group ascending: one counting pass, no boxing.

@@ -22,58 +22,82 @@ object StressMajorization {
              tol: Double = 1e-6): Array[Array[Double]] = {
     val n   = d.length
     val rnd = new Random(seed)
-    val x   = Array.fill(n, 2)(rnd.nextDouble() * 10.0 - 5.0)
-    if (n <= 1) return x
+    // Positions as two flat arrays, drawn x then y per node.
+    val xs = new Array[Double](n)
+    val ys = new Array[Double](n)
+    var v = 0
+    while (v < n) {
+      xs(v) = rnd.nextDouble() * 10.0 - 5.0
+      ys(v) = rnd.nextDouble() * 10.0 - 5.0
+      v += 1
+    }
+    if (n <= 1) return rows(xs, ys)
 
-    var prev = stress(x, d)
+    // Δ and w = 1/Δ² row-major, once; w is read only where Δ > 0.
+    val dd = flat(d)
+    val ww = new Array[Double](n * n)
+    var e = 0
+    while (e < dd.length) {
+      if (dd(e) > 0.0) ww(e) = 1.0 / (dd(e) * dd(e))
+      e += 1
+    }
+
+    var prev = stress(xs, ys, dd, n)
     var it   = 0
     var done = false
     while (it < maxIter && !done) {
       var i = 0
       while (i < n) {
         var sx = 0.0; var sy = 0.0; var sw = 0.0
+        val xi  = xs(i); val yi = ys(i)
+        val row = i * n
         var j = 0
         while (j < n) {
-          if (j != i && d(i)(j) > 0.0) {
-            val w   = 1.0 / (d(i)(j) * d(i)(j))
-            var dx  = x(i)(0) - x(j)(0)
-            var dy  = x(i)(1) - x(j)(1)
+          val dij = dd(row + j)
+          if (j != i && dij > 0.0) {
+            val w   = ww(row + j)
+            var dx  = xi - xs(j)
+            var dy  = yi - ys(j)
             var len = math.sqrt(dx * dx + dy * dy)
             if (len < 1e-12) { // coincident: nudge in a random direction
               dx = rnd.nextDouble() - 0.5; dy = rnd.nextDouble() - 0.5
               len = math.sqrt(dx * dx + dy * dy)
             }
-            val s = d(i)(j) / len
-            sx += w * (x(j)(0) + dx * s)
-            sy += w * (x(j)(1) + dy * s)
+            val s = dij / len
+            sx += w * (xs(j) + dx * s)
+            sy += w * (ys(j) + dy * s)
             sw += w
           }
           j += 1
         }
-        if (sw > 0.0) { x(i)(0) = sx / sw; x(i)(1) = sy / sw }
+        if (sw > 0.0) { xs(i) = sx / sw; ys(i) = sy / sw }
         i += 1
       }
-      val cur = stress(x, d)
+      val cur = stress(xs, ys, dd, n)
       if (prev > 0 && (prev - cur) / prev < tol) done = true
       prev = cur
       it += 1
     }
-    x
+    rows(xs, ys)
   }
 
   /** The Eq. 7 loss. */
-  def stress(x: Array[Array[Double]], d: Array[Array[Double]]): Double = {
-    val n = d.length
+  def stress(x: Array[Array[Double]], d: Array[Array[Double]]): Double =
+    stress(x.map(_(0)), x.map(_(1)), flat(d), d.length)
+
+  /** Eq. 7 over flat positions and a row-major n×n Δ. */
+  private def stress(xs: Array[Double], ys: Array[Double], dd: Array[Double], n: Int): Double = {
     var s = 0.0
     var i = 0
     while (i < n) {
       var j = i + 1
       while (j < n) {
-        if (d(i)(j) > 0.0) {
-          val dx  = x(i)(0) - x(j)(0)
-          val dy  = x(i)(1) - x(j)(1)
+        val dij = dd(i * n + j)
+        if (dij > 0.0) {
+          val dx  = xs(i) - xs(j)
+          val dy  = ys(i) - ys(j)
           val len = math.sqrt(dx * dx + dy * dy)
-          val t   = 1.0 - len / d(i)(j)
+          val t   = 1.0 - len / dij
           s += t * t
         }
         j += 1
@@ -82,4 +106,16 @@ object StressMajorization {
     }
     s
   }
+
+  /** The first d.length entries of each row of `d`, row-major. */
+  private def flat(d: Array[Array[Double]]): Array[Double] = {
+    val n   = d.length
+    val out = new Array[Double](n * n)
+    var i = 0
+    while (i < n) { System.arraycopy(d(i), 0, out, i * n, n); i += 1 }
+    out
+  }
+
+  private def rows(xs: Array[Double], ys: Array[Double]): Array[Array[Double]] =
+    Array.tabulate(xs.length)(i => Array(xs(i), ys(i)))
 }

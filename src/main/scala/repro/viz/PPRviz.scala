@@ -23,6 +23,14 @@ final class PprVizIndex(
     val dprSeconds: Double,
     val gbpSeconds: Double,
 ) {
+  // The per-supernode τ table every query on this index reads.
+  hier.supernodeDpr(leafDpr)
+
+  /** Bytes of `parents`, the DPR vector and the GBP aggregates (Table 10).
+    * The hierarchy's derived per-leaf and per-supernode arrays (`anc`,
+    * `slot`, `leafSets`, the avgdeg and τ tables) are rebuilt from
+    * `parents` and `leafDpr` and are not counted.
+    */
   def sizeBytes: Long =
     hier.sizeBytes + 8L * leafDpr.length +
       gbpAgg.valuesIterator.map(a => 8L * a.length + 32L).sum
@@ -80,6 +88,7 @@ object PPRviz {
                          k: Int, alpha: Double,
                          eps: Double): Map[(Int, Int), Array[Double]] = {
     val del  = delta(k)
+    val tau  = hier.supernodeDpr(leafDpr)
     val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
     // Targets grouped by parent from the hierarchy's child lists, so each
     // parent query is built once. Level nLevels + 1 holds only the virtual
@@ -90,7 +99,7 @@ object PPRviz {
       for (p <- if (root) Seq(-1) else 0 until hier.levelSize(level)) {
         val children = if (root) Array.range(0, sets.length) else hier.childrenOf(level, p)
         val targets  = children.filter(c =>
-          TauPush.isGbpTarget(Dpr.ofSupernode(leafDpr, sets(c)), children.length, g.n))
+          TauPush.isGbpTarget(tau(level - 1)(c), children.length, g.n))
         if (targets.nonEmpty) {
           val (q, _) = queryWithIds(hier, level, p)
           val rbmax  = TauPush.rbmax(g, q, eps, del)
@@ -115,10 +124,10 @@ object PPRviz {
   def queryWithIds(hier: Hierarchy, level: Int, id: Int): (SuperQuery, Array[Int]) =
     if (level == hier.nLevels + 1) {
       require(id == -1, s"level $level holds only the virtual root, id -1; got id $id")
-      (hier.rootQuery, Array.tabulate(hier.levelSize(hier.nLevels))(identity))
+      (hier.rootQuery, Array.range(0, hier.levelSize(hier.nLevels)))
     } else {
       val cs = hier.childrenOf(level, id)
-      (SuperQuery(hier.g.n, cs.map(c => hier.leafSets(level - 1)(c))), cs)
+      (hier.query(level, id, cs), cs)
     }
 
   /** Interactive PDist-matrix computation for a selected supernode, using the

@@ -2,7 +2,7 @@ package repro
 
 import java.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dppr, Gbp, Gfra, PDist, TauPush}
+import repro.core.{Dppr, Fixtures, Gfra, PDist, TauPush}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.hierarchy.Hierarchy
 import repro.layout.{ForceDirected, StressMajorization}
@@ -78,7 +78,7 @@ class PinnedOutputsSpec extends AnyFunSuite {
     pin("GFP(tmax) pdist", bits(tmax.pdist), 0x69dbaf23b26a303aL)
     assert(tmax.gbpTargets == 0)
     pin("GFP(tmax) pushes", tmax.pushes, 15999L)
-    pin("Gbp.run", bits(Gbp.run(wiki, q, 0, alpha, 1e-4)), 0x6ad9cc5d1f6b61c0L)
+    pin("Gbp.run", bits(Fixtures.gbpRun(wiki, q, 0, alpha, 1e-4)), 0x6ad9cc5d1f6b61c0L)
     pin("Dppr.exactRow", bits(Dppr.exactRow(wiki, q, 0, alpha)), 0xc4568419c052166bL)
   }
 

@@ -62,7 +62,7 @@ class GfpGbpSpec extends AnyFunSuite {
 
   test("GFP over singleton children equals single-source forward push exactly") {
     // Both run the one forward kernel; only the credit sink differs.
-    val leaves = SuperQuery.singletons(g.n, (0 until g.n).toArray)
+    val leaves = Fixtures.singletons(g.n, (0 until g.n).toArray)
     Seq(0, 7, 30).foreach { s =>
       val grouped = Gfp.run(g, leaves, s, alpha, rmax = 1e-4)
       val single  = ForwardPush.dppr(g, s, alpha, rmax = 1e-4)
@@ -78,7 +78,7 @@ class GfpGbpSpec extends AnyFunSuite {
     val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
     val rbmax = eps * delta / maxAvgDeg
     (0 until q.k).foreach { j =>
-      val est = Gbp.run(g, q, j, alpha, rbmax)
+      val est = Fixtures.gbpRun(g, q, j, alpha, rbmax)
       (0 until q.k).foreach { i =>
         if (i != j) assert(envelopeOk(est(i), exact(i)(j)), s"pair ($i,$j)")
       }
@@ -88,7 +88,7 @@ class GfpGbpSpec extends AnyFunSuite {
   test("GBP error bound from Lemma 4.2: err <= avgdeg(Vi)·rbmax") {
     val rbmax = 0.001
     (0 until q.k).foreach { j =>
-      val est = Gbp.run(g, q, j, alpha, rbmax)
+      val est = Fixtures.gbpRun(g, q, j, alpha, rbmax)
       (0 until q.k).foreach { i =>
         val err = exact(i)(j) - est(i)
         assert(err >= -1e-9)
@@ -101,7 +101,7 @@ class GfpGbpSpec extends AnyFunSuite {
     val rbmax = 0.005
     val credit      = Gbp.credits(g, q.children(1), alpha, rbmax).est
     val viaCredits  = Gbp.aggregate(q, credit)
-    val direct      = Gbp.run(g, q, 1, alpha, rbmax)
+    val direct      = Fixtures.gbpRun(g, q, 1, alpha, rbmax)
     (0 until q.k).foreach(i => assert(math.abs(viaCredits(i) - direct(i)) < 1e-12))
   }
 

@@ -66,7 +66,7 @@ class TauPushSpec extends AnyFunSuite {
     val delta = 1.0 / (10.0 * q.k)
     val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
     val rbmax = eps * delta / maxAvgDeg
-    val agg = Array.tabulate(q.k)(j => Gbp.run(g, q, j, alpha, rbmax))
+    val agg = Array.tabulate(q.k)(j => Fixtures.gbpRun(g, q, j, alpha, rbmax))
     val live   = TauPush.run(g, q, dpr, alpha, eps, delta, TauPush.Standard)
     val cached = TauPush.run(g, q, dpr, alpha, eps, delta, TauPush.Standard,
       Deadline.none, j => Some(agg(j)))

@@ -122,7 +122,7 @@ class PPRvizSpec extends AnyFunSuite {
       assert(j >= 0, s"($level,$id) not among its parent's children")
       val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
       val rbmax     = PPRviz.DefaultEps * PPRviz.delta(k) / maxAvgDeg
-      val live = repro.core.Gbp.run(g, q, j, PPRviz.DefaultAlpha, rbmax)
+      val live = repro.core.Fixtures.gbpRun(g, q, j, PPRviz.DefaultAlpha, rbmax)
       stored.indices.foreach(i => assert(math.abs(stored(i) - live(i)) < 1e-12))
     }
   }
