@@ -6,8 +6,8 @@ import repro.core.{Dppr, Fixtures, Gfra, PDist, TauPush}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.hierarchy.Hierarchy
 import repro.layout.{ForceDirected, StressMajorization}
-import repro.ppr.{Dpr, Fora, WalkIndex}
-import repro.viz.PPRviz
+import repro.ppr.{Deadline, Dpr, Fora, WalkIndex}
+import repro.viz.{PPRviz, Variants}
 
 /** Exact doubles of the seeded baselines and engines, pinned as a hash of
   * their IEEE bit patterns. The envelope and shape tests elsewhere would not
@@ -143,5 +143,41 @@ class PinnedOutputsSpec extends AnyFunSuite {
       pin(s"click ($level,$id) pushes", res.pushes, pushes)
       pin(s"click ($level,$id) layout", bits(StressMajorization.layout(res.pdist, seed = 7)), layout)
     }
+  }
+
+  test("every §7.4 variant's root DPPR and the Tau-Push and GFP(tmax) layouts are pinned") {
+    // Wiki-ii has no GBP target at k = 10, so Tau-Push and GFP(tmax) agree
+    // there; the hub graph's level-1 click reads Tau-Push's GBP index.
+    val k = 10
+    val expected = Map(
+      "PI" -> 0x3df5c12ee35c8c92L, "FORA" -> 0x6bfa786ec3fc246dL, "FORA+" -> 0xaa819d5ec0a6480eL,
+      "ResAcc" -> 0x20bcb29ee9fb03e2L, "Tau-Push" -> 0x7a5c5d0d2fb16e12L, "GFRA" -> 0x49cacb0aa69b7cb8L,
+      "GFP(tmax)" -> 0x7a5c5d0d2fb16e12L,
+      "Tau-Push layout wiki root" -> 0xeba1b1dd5262bc50L, "Tau-Push layout wiki (1,0)" -> 0x1476ae0ef790f3dfL,
+      "Tau-Push layout hub (1,0)" -> 0x7b1fc3b48bc25be3L,
+      "GFP(tmax) layout wiki root" -> 0xeba1b1dd5262bc50L, "GFP(tmax) layout wiki (1,0)" -> 0x1476ae0ef790f3dfL,
+      "GFP(tmax) layout hub (1,0)" -> 0x389bbf449e930cf5L,
+    )
+    val root = hier.nLevels + 1
+    val (q, ids) = PPRviz.queryWithIds(hier, root, -1)
+    val hub      = GraphGen.hubHeavy(400, 3, 6, 2, seed = 5)
+    val hubHier  = Hierarchy.build(hub, k)
+    val actual = Variants.all.flatMap { v =>
+      val vi   = Variants.buildIndex(v, wiki, k, hier)
+      val dppr = Variants.dpprMatrix(vi, wiki, q, root, ids, k, alpha, eps,
+        Deadline.in(120.0), seed = 3)
+      val shown = if (v == Variants.TauPushVar || v == Variants.GfpTauMaxVar) {
+        val hubVi = Variants.buildIndex(v, hub, k, hubHier)
+        def layout(vi: Variants.VariantIndex, g: LocalGraph, level: Int, id: Int): Long =
+          bits(Variants.visualize(vi, g, level, id, k, Deadline.none).get)
+        Seq(s"${v.name} layout wiki root"  -> layout(vi, wiki, root, -1),
+            s"${v.name} layout wiki (1,0)" -> layout(vi, wiki, 1, 0),
+            s"${v.name} layout hub (1,0)"  -> layout(hubVi, hub, 1, 0))
+      } else Seq.empty
+      (v.name -> bits(dppr)) +: shown
+    }
+    val wrong = actual.filter { case (name, h) => h != expected(name) }
+    assert(wrong.isEmpty, wrong.map { case (name, h) =>
+      f"$name: hash 0x$h%016xL, pinned 0x${expected(name)}%016xL" }.mkString("; "))
   }
 }

@@ -148,4 +148,19 @@ class PPRvizSpec extends AnyFunSuite {
         deadline = new Deadline(System.nanoTime() - 1))
     }
   }
+
+  test("a hierarchy with no supernode level answers its one query, the virtual root") {
+    // TwEgo's 23 leaves fit under one root at k = 25: no Louvain+ level.
+    val tw = GraphGen.twEgo
+    val ix = PPRviz.preprocess(tw, 25)
+    assert(ix.hier.nLevels == 0)
+    val res = PPRviz.queryPDist(tw, ix, 1, -1, 25)
+    assert(res.pdist.length == tw.n && res.pdist.forall(_.length == tw.n))
+    assert(ix.hier.randomZoomPath(new java.util.Random(1)) == Seq((1, -1)))
+    Variants.all.foreach { v =>
+      val vi = Variants.buildIndex(v, tw, 25, ix.hier)
+      assert(Variants.responseTime(vi, tw, 25, paths = 2, deadlineSec = 60.0, seed = 5)
+        .exists(_ > 0), v.name)
+    }
+  }
 }
