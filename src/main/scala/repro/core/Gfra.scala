@@ -22,7 +22,7 @@ object Gfra {
     val k = q.k
     val w = Fora.walkCountW(eps, delta, pf)
     val gamma = (0 until k).map(q.size).min.toDouble
-    val sumAvgDeg = q.avgDegs(g).sum
+    val sumAvgDeg = q.avgDegs.sum
     val rmax = math.sqrt(gamma * sumAvgDeg / (g.m.toDouble * w))
     val rnd  = new Random(seed)
 

@@ -7,15 +7,17 @@ import repro.ppr.Dpr
   * supernode S and asks to lay out its k level-ℓ children V_0..V_{k-1}.
   *
   * Leaf v lies in child [[childOf]]`(v)`: `slot(v)` when `owner(v) ==
-  * ownerId`, else outside S. A hierarchy query reads its hierarchy's
-  * per-level arrays (owner = the leaves' level-(ℓ+1) ancestors, slot = their
-  * level-ℓ ancestors' positions among siblings) and its children's Eq. 4 and
-  * Eq. 6 statistics from per-supernode tables, so building it costs O(k). An
+  * ownerId`, else outside S. Every query carries its children's Eq. 6
+  * avgdeg and a function giving their Eq. 4 τ_j for a leaf DPR vector. A
+  * hierarchy query reads its hierarchy's per-level arrays (owner = the
+  * leaves' level-(ℓ+1) ancestors, slot = their level-ℓ ancestors' positions
+  * among siblings) and per-supernode tables, so building it costs O(k). An
   * ad-hoc query ([[SuperQuery.apply]]) fills both arrays in O(n) once and
   * scans its children's leaves for the statistics.
   *
   * @param n        number of leaf nodes in the whole graph G
   * @param children leaf-node sets F(V_i), one array per child supernode
+  * @param avgDegs  avgdeg(V_i) of every child, the Eq. 6 denominator term
   */
 final class SuperQuery private (
     val n: Int,
@@ -23,8 +25,8 @@ final class SuperQuery private (
     owner: Array[Int],
     ownerId: Int,
     slot: Array[Int],
-    tableAvgDeg: Array[Double],
-    tableDpr: Array[Double] => Array[Double],
+    private[repro] val avgDegs: Array[Double],
+    dpr: Array[Double] => Array[Double],
 ) extends Serializable {
 
   /** Number of children k to be laid out. */
@@ -38,23 +40,8 @@ final class SuperQuery private (
     */
   @inline def childOf(v: Int): Int = if (owner(v) == ownerId) slot(v) else -1
 
-  /** Average out-degree of V_i's leaves (the Eq. 6 denominator term), by a
-    * scan of F(V_i).
-    */
-  def avgDeg(i: Int, outDeg: Int => Int): Double = SuperQuery.avgDegree(children(i), outDeg)
-
-  /** avgdeg(V_i) of every child on graph `g`: a hierarchy query reads its
-    * hierarchy's table (built on the same graph), an ad-hoc one scans leaves.
-    */
-  private[repro] def avgDegs(g: LocalGraph): Array[Double] =
-    if (tableAvgDeg != null) tableAvgDeg else Array.tabulate(k)(avgDeg(_, g.outDeg))
-
-  /** τ_j (Eq. 4, [[Dpr.ofSupernode]]) of every child for a leaf DPR vector:
-    * from the hierarchy's per-supernode table, or by a scan of the leaves.
-    */
-  private[repro] def childDpr(leafDpr: Array[Double]): Array[Double] =
-    if (tableDpr != null) tableDpr(leafDpr)
-    else Array.tabulate(k)(j => Dpr.ofSupernode(leafDpr, children(j)))
+  /** τ_j (Eq. 4, [[Dpr.ofSupernode]]) of every child for a leaf DPR vector. */
+  private[repro] def childDpr(leafDpr: Array[Double]): Array[Double] = dpr(leafDpr)
 
   /** Σ_{v∈F(V_j)} x(v) for every child V_j: the leaf sum Eq. 2 averages.
     * Callers apply their own scaling.
@@ -89,11 +76,13 @@ final class SuperQuery private (
 
 object SuperQuery {
 
-  /** An ad-hoc query on arbitrary disjoint leaf sets: one O(n) pass builds
-    * its leaf-to-child mapping, with owner 0 on every leaf inside S.
+  /** An ad-hoc query on arbitrary disjoint leaf sets of `g`: one O(n) pass
+    * builds its leaf-to-child mapping, with owner 0 on every leaf inside S,
+    * and its children's avgdeg and τ_j come from scans of their leaves.
     */
-  def apply(n: Int, children: Array[Array[Int]]): SuperQuery = {
+  def apply(g: LocalGraph, children: Array[Array[Int]]): SuperQuery = {
     require(children.nonEmpty, "query needs at least one child supernode")
+    val n       = g.n
     val members = new Array[Int](n)
     val owner   = new Array[Int](n)
     java.util.Arrays.fill(members, -1)
@@ -113,7 +102,8 @@ object SuperQuery {
       }
       i += 1
     }
-    new SuperQuery(n, children, owner, 0, members, null, null)
+    new SuperQuery(n, children, owner, 0, members, children.map(avgDegree(_, g.outDeg)),
+      leafDpr => children.map(Dpr.ofSupernode(leafDpr, _)))
   }
 
   /** A query on a hierarchy's supernode: `children` are the leaf sets of

@@ -50,8 +50,8 @@ object TauPush {
   def isGbpTarget(tauJ: Double, k: Int, n: Int): Boolean = tauJ > tau(k, n)
 
   /** Eq. 6: r^b_max = ε·δ / max_i avgdeg(V_i) for GBP inside query `q`. */
-  private[repro] def rbmax(g: LocalGraph, q: SuperQuery, eps: Double, delta: Double): Double = {
-    val avg = q.avgDegs(g)
+  private[repro] def rbmax(q: SuperQuery, eps: Double, delta: Double): Double = {
+    val avg = q.avgDegs
     var mx  = avg(0)
     var i   = 1
     while (i < avg.length) { mx = math.max(mx, avg(i)); i += 1 }
@@ -92,7 +92,7 @@ object TauPush {
     // GBP lookups stay on this thread, in j order (a caller's lookup need
     // not be thread-safe); only the live fallbacks join the GFP rows as pool
     // tasks. Each task writes its own slot.
-    val rb       = rbmax(g, q, eps, delta)
+    val rb       = rbmax(q, eps, delta)
     val refined  = Array.tabulate(k)(j => if (target(j)) gbpLookup(j).orNull else null)
     val live     = (0 until k).filter(j => target(j) && refined(j) == null).toArray
     val dppr     = new Array[Array[Double]](k)

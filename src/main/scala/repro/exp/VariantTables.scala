@@ -25,8 +25,8 @@ object VariantTables {
     graphs.flatMap { case (name, g) =>
       val (hier, tHier) = PPRviz.timeSec(Hierarchy.build(g, k))
       Variants.all.map { v =>
-        val vi   = Variants.buildIndex(v, g, k, hier, seed = seed)
-        val resp = Variants.responseTime(vi, g, k, paths, deadlineSec, seed)
+        val vi   = Variants.buildIndex(v, hier, k, seed = seed)
+        val resp = Variants.responseTime(vi, paths, deadlineSec, seed)
         Row(name, v.name, resp, tHier + vi.buildSeconds, vi.bytes)
       }
     }

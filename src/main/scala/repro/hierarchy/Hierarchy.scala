@@ -8,55 +8,52 @@ import repro.ppr.Dpr
 /** Supergraph hierarchy (§2.2 / Fig. 7a): leaves are graph nodes (level 0);
   * `parents(ℓ)(i)` is the level-(ℓ+1) supernode containing level-ℓ node i.
   * Louvain+ guarantees every supernode has ≤ k children and the coarsest
-  * level has ≤ k supernodes.
+  * level has ≤ k supernodes. Above the coarsest level sits one virtual
+  * root, level nLevels+1, id -1, whose children are the coarsest level's
+  * nodes (the leaves when nLevels = 0).
   */
 final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends Serializable {
 
   /** Number of supernode levels (level ids run 1..nLevels). */
   def nLevels: Int = parents.length
 
-  /** Number of nodes at a level (level 0 = leaves). */
+  /** Number of nodes at a level: g.n leaves at level 0, one virtual root at
+    * level nLevels+1.
+    */
   def levelSize(level: Int): Int =
     if (level == 0) g.n else children(level).length
 
-  /** anc(ℓ)(leaf) = the level-ℓ ancestor of a leaf; anc(0) = identity. */
+  /** anc(ℓ)(leaf) = the level-ℓ ancestor of a leaf for ℓ in 0..nLevels+1;
+    * anc(0) = identity, and anc(nLevels+1) is the virtual root, -1, of every
+    * leaf.
+    */
   lazy val anc: Array[Array[Int]] = {
-    val out = new Array[Array[Int]](nLevels + 1)
+    val out = new Array[Array[Int]](nLevels + 2)
     out(0) = Array.tabulate(g.n)(identity)
     var l = 0
     while (l < nLevels) {
       out(l + 1) = out(l).map(parents(l))
       l += 1
     }
+    out(nLevels + 1) = Array.fill(g.n)(-1)
     out
   }
 
   /** slot(ℓ)(leaf) = the position of the leaf's level-ℓ ancestor among its
-    * parent's children, ascending as [[childrenOf]] lists them; at the top
-    * level, among the root's children, which is the ancestor's id itself
-    * (slot(nLevels) is anc(nLevels)). A query on supernode p at level ℓ finds
-    * leaf v in child slot(ℓ−1)(v) when anc(ℓ)(v) == p.
+    * parent's children, ascending as [[childrenOf]] lists them, for ℓ in
+    * 0..nLevels. A query on supernode p at level ℓ finds leaf v in child
+    * slot(ℓ−1)(v) when anc(ℓ)(v) == p.
     */
   lazy val slot: Array[Array[Int]] = Array.tabulate(nLevels + 1) { l =>
-    if (l == nLevels) anc(l)
-    else {
-      val p      = parents(l)
-      val next   = new Array[Int](levelSize(l + 1))
-      val ofNode = new Array[Int](p.length)
-      var i = 0
-      while (i < p.length) { ofNode(i) = next(p(i)); next(p(i)) += 1; i += 1 }
-      val a   = anc(l)
-      val out = new Array[Int](g.n)
-      var v = 0
-      while (v < out.length) { out(v) = ofNode(a(v)); v += 1 }
-      out
+    val ofNode = new Array[Int](levelSize(l))
+    children(l + 1).foreach { cs =>
+      var s = 0
+      while (s < cs.length) { ofNode(cs(s)) = s; s += 1 }
     }
-  }
-
-  /** The virtual root's level: every leaf's ancestor there is the root, id -1. */
-  private lazy val rootAnc: Array[Int] = {
+    val a   = anc(l)
     val out = new Array[Int](g.n)
-    java.util.Arrays.fill(out, -1)
+    var v = 0
+    while (v < out.length) { out(v) = ofNode(a(v)); v += 1 }
     out
   }
 
@@ -98,41 +95,56 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
       out
     }
 
-  /** children(ℓ)(id) = level-(ℓ-1) ids under supernode `id` at level ℓ ≥ 1,
-    * ascending; built once per level (children(0) is empty).
+  /** children(ℓ)(p) = level-(ℓ-1) ids under supernode p at level ℓ,
+    * ascending, for ℓ in 1..nLevels+1; the virtual root's are
+    * children(nLevels+1)(0). Built once per level (children(0) is empty).
     */
-  private lazy val children: Array[Array[Array[Int]]] =
-    Array.tabulate(nLevels + 1) { l =>
+  private lazy val children: Array[Array[Array[Int]]] = {
+    val below = Array.tabulate(nLevels + 1) { l =>
       if (l == 0) Array.empty[Array[Int]]
       else Hierarchy.group(parents(l - 1), parents(l - 1).max + 1)
     }
-
-  /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ ≥ 1. */
-  def childrenOf(level: Int, id: Int): Array[Int] = {
-    require(level >= 1 && level <= nLevels,
-      s"no supernode $id at level $level: supernode levels run 1..$nLevels")
-    require(id >= 0 && id < levelSize(level),
-      s"no supernode $id at level $level: its ids run 0 until ${levelSize(level)}")
-    children(level)(id)
+    below :+ Array(Array.range(0, if (nLevels == 0) g.n else below(nLevels).length))
   }
 
+  /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ in 1..nLevels,
+    * or of the virtual root, id -1 at level nLevels+1.
+    */
+  def childrenOf(level: Int, id: Int): Array[Int] = {
+    require(level >= 1 && level <= nLevels + 1,
+      s"no supernode $id at level $level: levels run 1..${nLevels + 1}")
+    if (level > nLevels) {
+      require(id == -1, s"level $level holds only the virtual root, id -1; got id $id")
+      children(level)(0)
+    } else {
+      require(id >= 0 && id < levelSize(level),
+        s"no supernode $id at level $level: its ids run 0 until ${levelSize(level)}")
+      children(level)(id)
+    }
+  }
+
+  /** Every query's (level, id) address: each supernode, level by level from
+    * 1 up, then the virtual root (nLevels+1, -1).
+    */
+  def queries: Seq[(Int, Int)] =
+    (1 to nLevels).flatMap(l => (0 until levelSize(l)).map((l, _))) :+ ((nLevels + 1, -1))
+
   /** The query on supernode `id` at level ℓ, whose children are the
-    * level-(ℓ−1) nodes `ids`; level nLevels+1, id -1 is the virtual root.
-    * O(k): every array it reads is built once per hierarchy.
+    * level-(ℓ−1) nodes `ids`. O(k): every array it reads is built once per
+    * hierarchy.
     */
   private[repro] def query(level: Int, id: Int, ids: Array[Int]): SuperQuery = {
-    val l     = level - 1
-    val owner = if (level > nLevels) rootAnc else anc(level)
-    SuperQuery.inHierarchy(g.n, ids.map(leafSets(l)(_)), owner, id, slot(l),
+    val l = level - 1
+    SuperQuery.inHierarchy(g.n, ids.map(leafSets(l)(_)), anc(level), id, slot(l),
       Hierarchy.gather(supernodeAvgDeg(l), ids),
       leafDpr => Hierarchy.gather(supernodeDpr(leafDpr)(l), ids))
   }
 
   /** Query for the coarsest supergraph (the visualization the zoom-in path
     * starts from — "the supergraph on the highest level corresponds to the
-    * entire graph", §7.1). Built once: every zoom path starts here.
+    * entire graph", §7.1), built once.
     */
-  lazy val rootQuery: SuperQuery = query(nLevels + 1, -1, Array.range(0, levelSize(nLevels)))
+  lazy val rootQuery: SuperQuery = query(nLevels + 1, -1, childrenOf(nLevels + 1, -1))
 
   /** One random zoom-in path: queries from the top level down to level 0,
     * following a uniformly random child at each step (§7.1's interactive
@@ -141,9 +153,9 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     * the virtual root (level = nLevels+1, id = -1) meaning [[rootQuery]].
     */
   def randomZoomPath(rnd: Random): Seq[(Int, Int)] = {
-    val path = scala.collection.mutable.ArrayBuffer[(Int, Int)]((nLevels + 1, -1))
-    var level = nLevels
-    var id    = rnd.nextInt(levelSize(nLevels))
+    val path  = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+    var level = nLevels + 1
+    var id    = -1
     while (level >= 1) {
       path += ((level, id))
       val cs = childrenOf(level, id)

@@ -34,14 +34,6 @@ final class PprVizIndex(
   def sizeBytes: Long =
     hier.sizeBytes + 8L * leafDpr.length +
       gbpAgg.valuesIterator.map(a => 8L * a.length + 32L).sum
-
-  def preprocessSeconds: Double = hierSeconds + dprSeconds + gbpSeconds
-
-  /** The stored GBP results for the children `ids` of a level-`level`
-    * query, by child position.
-    */
-  private[viz] def gbpLookup(level: Int, ids: Array[Int]): Int => Option[Array[Double]] =
-    j => gbpAgg.get((level - 1, ids(j)))
 }
 
 /** PPRviz (§5): preprocessing (Louvain+ hierarchy, DPR index, GBP results)
@@ -90,21 +82,16 @@ object PPRviz {
     val del  = delta(k)
     val tau  = hier.supernodeDpr(leafDpr)
     val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
-    // Targets grouped by parent from the hierarchy's child lists, so each
-    // parent query is built once. Level nLevels + 1 holds only the virtual
-    // root, id -1, whose children are the coarsest level.
-    for (level <- 1 to hier.nLevels + 1) {
-      val sets = hier.leafSets(level - 1)
-      val root = level > hier.nLevels
-      for (p <- if (root) Seq(-1) else 0 until hier.levelSize(level)) {
-        val children = if (root) Array.range(0, sets.length) else hier.childrenOf(level, p)
-        val targets  = children.filter(c =>
-          TauPush.isGbpTarget(tau(level - 1)(c), children.length, g.n))
-        if (targets.nonEmpty) {
-          val (q, _) = queryWithIds(hier, level, p)
-          val rbmax  = TauPush.rbmax(g, q, eps, del)
-          targets.foreach(c => jobs += (((level - 1, c), q, sets(c), rbmax)))
-        }
+    // Targets grouped by parent, so each parent query is built once, and
+    // only for parents with a target.
+    for ((level, p) <- hier.queries) {
+      val children = hier.childrenOf(level, p)
+      val targets  = children.filter(c =>
+        TauPush.isGbpTarget(tau(level - 1)(c), children.length, g.n))
+      if (targets.nonEmpty) {
+        val q     = hier.query(level, p, children)
+        val rbmax = TauPush.rbmax(q, eps, del)
+        targets.foreach(c => jobs += (((level - 1, c), q, hier.leafSets(level - 1)(c), rbmax)))
       }
     }
     // One pool task per target, each writing only its own entry.
@@ -121,14 +108,10 @@ object PPRviz {
     * nLevels+1 with id = -1 addresses the virtual root (coarsest
     * supergraph). Any other address must name a supernode.
     */
-  def queryWithIds(hier: Hierarchy, level: Int, id: Int): (SuperQuery, Array[Int]) =
-    if (level == hier.nLevels + 1) {
-      require(id == -1, s"level $level holds only the virtual root, id -1; got id $id")
-      (hier.rootQuery, Array.range(0, hier.levelSize(hier.nLevels)))
-    } else {
-      val cs = hier.childrenOf(level, id)
-      (hier.query(level, id, cs), cs)
-    }
+  def queryWithIds(hier: Hierarchy, level: Int, id: Int): (SuperQuery, Array[Int]) = {
+    val cs = hier.childrenOf(level, id)
+    (hier.query(level, id, cs), cs)
+  }
 
   /** Interactive PDist-matrix computation for a selected supernode, using the
     * precomputed DPR/GBP index (Fig. 7c).
@@ -138,6 +121,6 @@ object PPRviz {
                  deadline: Deadline = Deadline.none): TauPushResult = {
     val (q, ids) = queryWithIds(index.hier, level, id)
     TauPush.run(g, q, index.leafDpr, alpha, eps, delta(k), TauPush.Standard,
-      deadline, index.gbpLookup(level, ids))
+      deadline, j => index.gbpAgg.get((level - 1, ids(j))))
   }
 }

@@ -1,8 +1,7 @@
 package repro.viz
 
 import java.util.Random
-import repro.core.{Dppr, Gfra, PDist, SuperQuery, TauPush, TauPushResult}
-import repro.graph.LocalGraph
+import repro.core.{Dppr, Gfra, PDist, SuperQuery, TauPush}
 import repro.hierarchy.Hierarchy
 import repro.layout.StressMajorization
 import repro.ppr._
@@ -33,97 +32,80 @@ object Variants {
   val ForaQuota     = 8
   val ForaPlusQuota = 4
 
-  /** A variant's index on the shared hierarchy. Tau-Push and GFP(τ_max)
-    * keep PPRviz's own index: DPR, plus GBP aggregates for Tau-Push only.
+  /** A variant's index on the shared hierarchy and its DPPR engine:
+    * `dppr(level, id, deadline, seed)` is the approximate level-ℓ DPPR
+    * matrix of the children of supernode `id` at `level`, answered with the
+    * k, α and ε the index was built for. Tau-Push and GFP(τ_max) keep
+    * PPRviz's own index: DPR, plus GBP aggregates for Tau-Push only.
     */
   final case class VariantIndex(
       variant: Variant,
       hier: Hierarchy,
       bytes: Long,
       buildSeconds: Double, // index build time excluding the shared hierarchy
-      walkIndex: Option[WalkIndex],
-      pprviz: Option[PprVizIndex],
+      dppr: (Int, Int, Deadline, Long) => Array[Array[Double]],
   )
 
-  object VariantIndex {
-    def apply(variant: Variant, ix: PprVizIndex): VariantIndex =
-      VariantIndex(variant, ix.hier, ix.sizeBytes, ix.dprSeconds + ix.gbpSeconds,
-        None, Some(ix))
-  }
-
-  /** Build a variant's index on top of a shared hierarchy. */
-  def buildIndex(variant: Variant, g: LocalGraph, k: Int, hier: Hierarchy,
+  /** Build a variant's index and engine on a shared hierarchy, for queries
+    * on the hierarchy's graph. The FORA family and PI run per leaf node of
+    * the selected supernode, as the paper describes (§3.3, App. A.2) — this
+    * is exactly why they exceed the response deadline on large graphs
+    * (Table 8).
+    */
+  def buildIndex(variant: Variant, hier: Hierarchy, k: Int,
                  alpha: Double = PPRviz.DefaultAlpha,
                  eps: Double = PPRviz.DefaultEps,
-                 seed: Long = 99): VariantIndex =
+                 seed: Long = 99): VariantIndex = {
+    val g   = hier.g
+    val del = PPRviz.delta(k)
+    val pf  = 1.0 / g.n
+    // An engine answering from the query on (level, id); `qseed` seeds the
+    // query's random draws, `seed` the walk index.
+    def engine(bytes: Long, seconds: Double)(
+        f: (SuperQuery, Deadline, Long) => Array[Array[Double]]): VariantIndex =
+      VariantIndex(variant, hier, bytes, seconds, (level, id, deadline, qseed) =>
+        f(PPRviz.queryWithIds(hier, level, id)._1, deadline, qseed))
+    def fora(wi: WalkIndex, rmaxFactor: Double)(q: SuperQuery, deadline: Deadline,
+                                                 qseed: Long): Array[Array[Double]] = {
+      val rnd = new Random(qseed)
+      Dppr.perLeafAverage(q, deadline) { s =>
+        Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, wi, rmaxFactor)
+      }
+    }
     variant match {
-      case PiVar | ResAccVar =>
-        VariantIndex(variant, hier, hier.sizeBytes, 0.0, None, None)
+      case PiVar =>
+        engine(hier.sizeBytes, 0.0)((q, deadline, _) =>
+          Dppr.perLeafMatrix(g, q, alpha, 1e-9, deadline))
+      case ResAccVar =>
+        engine(hier.sizeBytes, 0.0)(fora(null, Fora.ResAccRmaxFactor))
       case ForaVar | ForaPlusVar | GfraVar =>
         val quota   = if (variant == ForaPlusVar) ForaPlusQuota else ForaQuota
         val (wi, t) = PPRviz.timeSec(WalkIndex.build(g, alpha, quota, seed))
-        VariantIndex(variant, hier, hier.sizeBytes + wi.sizeBytes, t, Some(wi), None)
+        engine(hier.sizeBytes + wi.sizeBytes, t)(
+          if (variant == GfraVar)
+            (q, deadline, qseed) => Gfra.run(g, q, alpha, eps, del, pf, qseed, deadline, wi)
+          else fora(wi, 1.0))
       case TauPushVar =>
-        VariantIndex(variant, PPRviz.buildIndex(g, hier, k, alpha, eps, 0.0))
+        val ix = PPRviz.buildIndex(g, hier, k, alpha, eps, 0.0)
+        VariantIndex(variant, hier, ix.sizeBytes, ix.dprSeconds + ix.gbpSeconds,
+          (level, id, deadline, _) =>
+            PPRviz.queryPDist(g, ix, level, id, k, alpha, eps, deadline).dppr)
       case GfpTauMaxVar =>
+        // PPRviz's index without GBP entries; this mode picks no GBP targets.
         val (dpr, t) = PPRviz.timeSec(Dpr.vector(g, alpha))
-        VariantIndex(variant, new PprVizIndex(hier, dpr, Map.empty, 0.0, t, 0.0))
+        val ix       = new PprVizIndex(hier, dpr, Map.empty, 0.0, t, 0.0)
+        engine(ix.sizeBytes, t)((q, deadline, _) =>
+          TauPush.run(g, q, dpr, alpha, eps, del, TauPush.GfpTauMax, deadline).dppr)
     }
-
-  /** Approximate level-ℓ DPPR matrix for a query under a variant. The FORA
-    * family and PI run per leaf node of the selected supernode, as the paper
-    * describes (§3.3, App. A.2) — this is exactly why they exceed the
-    * response deadline on large graphs (Table 8).
-    */
-  def dpprMatrix(vi: VariantIndex, g: LocalGraph, q: SuperQuery, level: Int,
-                 ids: Array[Int], k: Int, alpha: Double, eps: Double,
-                 deadline: Deadline, seed: Long): Array[Array[Double]] = {
-    val del = PPRviz.delta(k)
-    val pf  = 1.0 / g.n
-    vi.variant match {
-      case PiVar =>
-        Dppr.perLeafMatrix(g, q, alpha, 1e-9, deadline)
-      case ForaVar | ForaPlusVar | ResAccVar =>
-        val rnd        = new Random(seed)
-        val rmaxFactor = if (vi.variant == ResAccVar) Fora.ResAccRmaxFactor else 1.0
-        Dppr.perLeafAverage(q, deadline) { s =>
-          Fora.dppr(g, s, alpha, eps, del, pf, rnd, deadline, vi.walkIndex.orNull, rmaxFactor)
-        }
-      case TauPushVar | GfpTauMaxVar =>
-        tauPush(vi, g, q, level, ids, k, alpha, eps, deadline).dppr
-      case GfraVar =>
-        Gfra.run(g, q, alpha, eps, del, pf, seed, deadline, vi.walkIndex.orNull)
-    }
-  }
-
-  /** Tau-Push or GFP(τ_max) on PPRviz's own index (GFP(τ_max)'s holds no
-    * GBP entries, and its mode picks no GBP targets).
-    */
-  private def tauPush(vi: VariantIndex, g: LocalGraph, q: SuperQuery, level: Int,
-                      ids: Array[Int], k: Int, alpha: Double, eps: Double,
-                      deadline: Deadline): TauPushResult = {
-    val ix   = vi.pprviz.get
-    val mode = if (vi.variant == TauPushVar) TauPush.Standard else TauPush.GfpTauMax
-    TauPush.run(g, q, ix.leafDpr, alpha, eps, PPRviz.delta(k), mode, deadline,
-      ix.gbpLookup(level, ids))
   }
 
   /** One visualization under a variant: DPPR → PDist → stress majorization.
     * Returns None when the deadline is exceeded (a "-" entry in Table 8).
     */
-  def visualize(vi: VariantIndex, g: LocalGraph, level: Int, id: Int, k: Int,
-                deadline: Deadline, seed: Long = 7,
-                alpha: Double = PPRviz.DefaultAlpha,
-                eps: Double = PPRviz.DefaultEps): Option[Array[Array[Double]]] =
+  def visualize(vi: VariantIndex, level: Int, id: Int, deadline: Deadline,
+                seed: Long = 7): Option[Array[Array[Double]]] =
     try {
-      val (q, ids) = PPRviz.queryWithIds(vi.hier, level, id)
-      // Tau-Push and GFP(τ_max) return the PDist matrix with their DPPR.
-      val pdist = vi.variant match {
-        case TauPushVar | GfpTauMaxVar =>
-          tauPush(vi, g, q, level, ids, k, alpha, eps, deadline).pdist
-        case _ =>
-          PDist.matrix(dpprMatrix(vi, g, q, level, ids, k, alpha, eps, deadline, seed), g.n)
-      }
+      val pdist = PDist.matrix(vi.dppr(level, id, deadline, seed), vi.hier.g.n)
       Some(StressMajorization.layout(pdist, seed))
     } catch {
       case _: Deadline.Exceeded => None
@@ -132,8 +114,8 @@ object Variants {
   /** Average response time over zoom paths; None if any query hits the
     * deadline (the paper terminates such methods).
     */
-  def responseTime(vi: VariantIndex, g: LocalGraph, k: Int, paths: Int,
-                   deadlineSec: Double, seed: Long): Option[Double] = {
+  def responseTime(vi: VariantIndex, paths: Int, deadlineSec: Double,
+                   seed: Long): Option[Double] = {
     val rnd = new Random(seed)
     var total = 0.0
     var count = 0
@@ -142,7 +124,7 @@ object Variants {
       val path = vi.hier.randomZoomPath(rnd)
       path.foreach { case (level, id) =>
         val t0 = System.nanoTime()
-        visualize(vi, g, level, id, k, Deadline.in(deadlineSec)) match {
+        visualize(vi, level, id, Deadline.in(deadlineSec)) match {
           case Some(_) =>
             total += (System.nanoTime() - t0) / 1e9
             count += 1

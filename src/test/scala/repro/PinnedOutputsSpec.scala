@@ -158,21 +158,19 @@ class PinnedOutputsSpec extends AnyFunSuite {
       "GFP(tmax) layout wiki root" -> 0xeba1b1dd5262bc50L, "GFP(tmax) layout wiki (1,0)" -> 0x1476ae0ef790f3dfL,
       "GFP(tmax) layout hub (1,0)" -> 0x389bbf449e930cf5L,
     )
-    val root = hier.nLevels + 1
-    val (q, ids) = PPRviz.queryWithIds(hier, root, -1)
+    val root     = hier.nLevels + 1
     val hub      = GraphGen.hubHeavy(400, 3, 6, 2, seed = 5)
     val hubHier  = Hierarchy.build(hub, k)
     val actual = Variants.all.flatMap { v =>
-      val vi   = Variants.buildIndex(v, wiki, k, hier)
-      val dppr = Variants.dpprMatrix(vi, wiki, q, root, ids, k, alpha, eps,
-        Deadline.in(120.0), seed = 3)
+      val vi   = Variants.buildIndex(v, hier, k)
+      val dppr = vi.dppr(root, -1, Deadline.in(120.0), 3)
       val shown = if (v == Variants.TauPushVar || v == Variants.GfpTauMaxVar) {
-        val hubVi = Variants.buildIndex(v, hub, k, hubHier)
-        def layout(vi: Variants.VariantIndex, g: LocalGraph, level: Int, id: Int): Long =
-          bits(Variants.visualize(vi, g, level, id, k, Deadline.none).get)
-        Seq(s"${v.name} layout wiki root"  -> layout(vi, wiki, root, -1),
-            s"${v.name} layout wiki (1,0)" -> layout(vi, wiki, 1, 0),
-            s"${v.name} layout hub (1,0)"  -> layout(hubVi, hub, 1, 0))
+        val hubVi = Variants.buildIndex(v, hubHier, k)
+        def layout(vi: Variants.VariantIndex, level: Int, id: Int): Long =
+          bits(Variants.visualize(vi, level, id, Deadline.none).get)
+        Seq(s"${v.name} layout wiki root"  -> layout(vi, root, -1),
+            s"${v.name} layout wiki (1,0)" -> layout(vi, 1, 0),
+            s"${v.name} layout hub (1,0)"  -> layout(hubVi, 1, 0))
       } else Seq.empty
       (v.name -> bits(dppr)) +: shown
     }

@@ -9,8 +9,8 @@ object Fixtures {
   /** Leaf-level query: each child is a singleton leaf (single-level
     * visualization sets k = n, §5 "Applications").
     */
-  def singletons(n: Int, nodes: Array[Int]): SuperQuery =
-    SuperQuery(n, nodes.map(Array(_)))
+  def singletons(g: LocalGraph, nodes: Array[Int]): SuperQuery =
+    SuperQuery(g, nodes.map(Array(_)))
 
   /** Algorithm 3 end to end: estimates π̂_d(V_i, V_j) for every child V_i. */
   def gbpRun(g: LocalGraph, q: SuperQuery, tgtChild: Int, alpha: Double,

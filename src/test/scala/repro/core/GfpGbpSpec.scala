@@ -13,7 +13,7 @@ class GfpGbpSpec extends AnyFunSuite {
   private val eps   = 1.0 - 1.0 / math.E
   private lazy val g = GraphGen.fbEgo
   // A 5-child partition of an arbitrary subset of nodes (supernode S).
-  private lazy val q = SuperQuery(g.n,
+  private lazy val q = SuperQuery(g,
     Array(Array(0, 1, 2), Array(3, 4), Array(10, 11, 12, 13), Array(20, 21), Array(30, 35)))
   private lazy val exact = Dppr.exactMatrix(g, q, alpha)
   private lazy val dpr   = Dpr.vector(g, alpha)
@@ -62,7 +62,7 @@ class GfpGbpSpec extends AnyFunSuite {
 
   test("GFP over singleton children equals single-source forward push exactly") {
     // Both run the one forward kernel; only the credit sink differs.
-    val leaves = Fixtures.singletons(g.n, (0 until g.n).toArray)
+    val leaves = Fixtures.singletons(g, (0 until g.n).toArray)
     Seq(0, 7, 30).foreach { s =>
       val grouped = Gfp.run(g, leaves, s, alpha, rmax = 1e-4)
       val single  = ForwardPush.dppr(g, s, alpha, rmax = 1e-4)
@@ -75,7 +75,7 @@ class GfpGbpSpec extends AnyFunSuite {
   }
 
   test("GBP with the Eq. 6 rbmax is (eps,delta)-approximate for every source") {
-    val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+    val maxAvgDeg = q.avgDegs.max
     val rbmax = eps * delta / maxAvgDeg
     (0 until q.k).foreach { j =>
       val est = Fixtures.gbpRun(g, q, j, alpha, rbmax)
@@ -92,7 +92,7 @@ class GfpGbpSpec extends AnyFunSuite {
       (0 until q.k).foreach { i =>
         val err = exact(i)(j) - est(i)
         assert(err >= -1e-9)
-        assert(err <= q.avgDeg(i, g.outDeg) * rbmax + 1e-9, s"pair ($i,$j)")
+        assert(err <= q.avgDegs(i) * rbmax + 1e-9, s"pair ($i,$j)")
       }
     }
   }
@@ -126,7 +126,7 @@ class GfpGbpSpec extends AnyFunSuite {
       (2, 6),                      // one bridge A-C
     )
     val gg = repro.graph.LocalGraph.undirected(9, edges)
-    val qq = SuperQuery(gg.n, Array(Array(0, 1, 2), Array(3, 4, 5), Array(6, 7, 8)))
+    val qq = SuperQuery(gg, Array(Array(0, 1, 2), Array(3, 4, 5), Array(6, 7, 8)))
     val ex = Dppr.exactMatrix(gg, qq, alpha)
     assert(ex(0)(1) > ex(0)(2))
   }

@@ -64,7 +64,7 @@ class TauPushSpec extends AnyFunSuite {
   test("precomputed GBP aggregates give the same refinement as live GBP") {
     val q     = hier.rootQuery
     val delta = 1.0 / (10.0 * q.k)
-    val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+    val maxAvgDeg = q.avgDegs.max
     val rbmax = eps * delta / maxAvgDeg
     val agg = Array.tabulate(q.k)(j => Fixtures.gbpRun(g, q, j, alpha, rbmax))
     val live   = TauPush.run(g, q, dpr, alpha, eps, delta, TauPush.Standard)
@@ -117,7 +117,7 @@ class TauPushSpec extends AnyFunSuite {
       pushes += r.pushes
       r.est
     }
-    val rb = TauPush.rbmax(g, q, eps, delta)
+    val rb = TauPush.rbmax(q, eps, delta)
     (0 until k).filter(target(_)).foreach { j =>
       val c       = Gbp.credits(g, q.children(j), alpha, rb)
       val refined = Gbp.aggregate(q, c.est)
@@ -154,7 +154,7 @@ class TauPushSpec extends AnyFunSuite {
     // Ten 2000-leaf children and r_max near 1e-13 push far longer than the
     // 5 ms the rows share.
     val big = GraphGen.powerLaw(20000, 5, seed = 2)
-    val q   = SuperQuery(big.n, Array.tabulate(10)(c => Array.range(2000 * c, 2000 * (c + 1))))
+    val q   = SuperQuery(big, Array.tabulate(10)(c => Array.range(2000 * c, 2000 * (c + 1))))
     intercept[Deadline.Exceeded] {
       TauPush.run(big, q, Array.fill(big.n)(1.0 / big.n), alpha, eps, 1e-9,
         TauPush.Standard, Deadline.in(0.005))

@@ -18,14 +18,10 @@ class QueryTablesSpec extends AnyFunSuite {
   )
   private lazy val built = graphs.map { case (name, g) => (name, g, Hierarchy.build(g, 10)) }
 
-  /** The virtual root and every supernode. */
-  private def queries(h: Hierarchy): Seq[(Int, Int)] =
-    (h.nLevels + 1, -1) +: (1 to h.nLevels).flatMap(l => (0 until h.levelSize(l)).map((l, _)))
-
   test("a hierarchy query finds every leaf in the child SuperQuery.apply puts it in") {
-    for ((name, g, h) <- built; (level, id) <- queries(h)) {
+    for ((name, g, h) <- built; (level, id) <- h.queries) {
       val (q, _)   = PPRviz.queryWithIds(h, level, id)
-      val adhoc    = SuperQuery(g.n, q.children)
+      val adhoc    = SuperQuery(g, q.children)
       val expected = Array.fill(g.n)(-1)
       q.children.indices.foreach(i => q.children(i).foreach(v => expected(v) = i))
       val wrong = (0 until g.n).filter(v => q.childOf(v) != expected(v) || adhoc.childOf(v) != expected(v))
@@ -37,17 +33,17 @@ class QueryTablesSpec extends AnyFunSuite {
     def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
     for ((name, g, h) <- built) {
       val dpr = Dpr.vector(g, PPRviz.DefaultAlpha)
-      queries(h).foreach { case (level, id) =>
+      h.queries.foreach { case (level, id) =>
         val (q, _) = PPRviz.queryWithIds(h, level, id)
-        val adhoc  = SuperQuery(g.n, q.children)
+        val adhoc  = SuperQuery(g, q.children)
         val tau    = q.childDpr(dpr)
-        val avg    = q.avgDegs(g)
+        val avg    = q.avgDegs
         q.children.indices.foreach { j =>
           val scanTau = Dpr.ofSupernode(dpr, q.children(j))
-          val scanAvg = q.avgDeg(j, g.outDeg)
+          val scanAvg = SuperQuery.avgDegree(q.children(j), g.outDeg)
           assert(bits(tau(j)) == bits(scanTau) && bits(adhoc.childDpr(dpr)(j)) == bits(scanTau),
             s"$name query ($level,$id) child $j: tau ${tau(j)} vs $scanTau")
-          assert(bits(avg(j)) == bits(scanAvg) && bits(adhoc.avgDegs(g)(j)) == bits(scanAvg),
+          assert(bits(avg(j)) == bits(scanAvg) && bits(adhoc.avgDegs(j)) == bits(scanAvg),
             s"$name query ($level,$id) child $j: avgdeg ${avg(j)} vs $scanAvg")
         }
       }

@@ -20,8 +20,7 @@ class PPRvizSpec extends AnyFunSuite {
 
   test("preprocess timings are recorded") {
     assert(index.hierSeconds >= 0 && index.dprSeconds >= 0 && index.gbpSeconds >= 0)
-    assert(index.preprocessSeconds ==
-      index.hierSeconds + index.dprSeconds + index.gbpSeconds)
+    assert(index.hierSeconds + index.dprSeconds + index.gbpSeconds > 0)
   }
 
   test("index stores GBP results exactly for supernodes above the DPR threshold") {
@@ -40,9 +39,8 @@ class PPRvizSpec extends AnyFunSuite {
     }
   }
 
-  // Every query of the hierarchy: the virtual root and each supernode.
-  private lazy val queries = (index.hier.nLevels + 1, -1) +:
-    (1 to index.hier.nLevels).flatMap(l => (0 until index.hier.levelSize(l)).map((l, _)))
+  // Every query of the hierarchy: each supernode and the virtual root.
+  private lazy val queries = index.hier.queries
 
   test("index keys are exactly the GBP targets of all queries, each read as an index hit") {
     val hier = index.hier
@@ -98,16 +96,16 @@ class PPRvizSpec extends AnyFunSuite {
     }
   }
 
-  private lazy val tauPush = Variants.VariantIndex(Variants.TauPushVar, index)
+  private lazy val tauPush = Variants.buildIndex(Variants.TauPushVar, index.hier, k)
 
   test("visualize returns one 2-D row per child") {
-    val x = Variants.visualize(tauPush, g, index.hier.nLevels + 1, -1, k, Deadline.none).get
+    val x = Variants.visualize(tauPush, index.hier.nLevels + 1, -1, Deadline.none).get
     assert(x.length == index.hier.levelSize(index.hier.nLevels))
     assert(x.forall(p => p.length == 2 && p.forall(v => !v.isNaN)))
   }
 
   test("responseTime is positive and fast on the small graph") {
-    val t = Variants.responseTime(tauPush, g, k, paths = 2,
+    val t = Variants.responseTime(tauPush, paths = 2,
       deadlineSec = Double.PositiveInfinity, seed = 5).get
     assert(t > 0 && t < 5.0)
   }
@@ -120,7 +118,7 @@ class PPRvizSpec extends AnyFunSuite {
         else PPRviz.queryWithIds(index.hier, level + 1, index.hier.parents(level)(id))
       val j = ids.indexOf(id)
       assert(j >= 0, s"($level,$id) not among its parent's children")
-      val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+      val maxAvgDeg = q.avgDegs.max
       val rbmax     = PPRviz.DefaultEps * PPRviz.delta(k) / maxAvgDeg
       val live = repro.core.Fixtures.gbpRun(g, q, j, PPRviz.DefaultAlpha, rbmax)
       stored.indices.foreach(i => assert(math.abs(stored(i) - live(i)) < 1e-12))
@@ -158,9 +156,9 @@ class PPRvizSpec extends AnyFunSuite {
     assert(res.pdist.length == tw.n && res.pdist.forall(_.length == tw.n))
     assert(ix.hier.randomZoomPath(new java.util.Random(1)) == Seq((1, -1)))
     Variants.all.foreach { v =>
-      val vi = Variants.buildIndex(v, tw, 25, ix.hier)
-      assert(Variants.responseTime(vi, tw, 25, paths = 2, deadlineSec = 60.0, seed = 5)
-        .exists(_ > 0), v.name)
+      val vi = Variants.buildIndex(v, ix.hier, 25)
+      assert(Variants.responseTime(vi, paths = 2, deadlineSec = 60.0, seed = 5).exists(_ > 0),
+        v.name)
     }
   }
 }

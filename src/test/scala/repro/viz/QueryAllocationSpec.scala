@@ -13,12 +13,10 @@ class QueryAllocationSpec extends AnyFunSuite {
     val g    = GraphGen.youtubeLite
     val hier = Hierarchy.build(g, 25)
     val dpr  = Dpr.vector(g, PPRviz.DefaultAlpha)
-    val all  = (hier.nLevels + 1, -1) +:
-      (1 to hier.nLevels).flatMap(l => (0 until hier.levelSize(l)).map((l, _)))
+    val all  = hier.queries
     def click(level: Int, id: Int): Unit = {
       val (q, _) = PPRviz.queryWithIds(hier, level, id)
       q.childDpr(dpr)
-      q.avgDegs(g)
     }
     // Warm: builds the per-level arrays and tables, and compiles the path.
     all.foreach { case (level, id) => click(level, id) }

@@ -12,13 +12,10 @@ class VariantsSpec extends AnyFunSuite {
   private lazy val g    = GraphGen.wikiII
   private lazy val hier = Hierarchy.build(g, k)
   private lazy val indices =
-    Variants.all.map(v => v -> Variants.buildIndex(v, g, k, hier)).toMap
+    Variants.all.map(v => v -> Variants.buildIndex(v, hier, k)).toMap
 
-  private def rootDppr(v: Variants.Variant, deadlineSec: Double = 120.0): Array[Array[Double]] = {
-    val (q, ids) = PPRviz.queryWithIds(hier, hier.nLevels + 1, -1)
-    Variants.dpprMatrix(indices(v), g, q, hier.nLevels + 1, ids, k,
-      PPRviz.DefaultAlpha, PPRviz.DefaultEps, Deadline.in(deadlineSec), seed = 3)
-  }
+  private def rootDppr(v: Variants.Variant, deadlineSec: Double = 120.0): Array[Array[Double]] =
+    indices(v).dppr(hier.nLevels + 1, -1, Deadline.in(deadlineSec), 3)
 
   test("every variant approximates the exact root-level DPPR") {
     val (q, _) = PPRviz.queryWithIds(hier, hier.nLevels + 1, -1)
@@ -65,24 +62,25 @@ class VariantsSpec extends AnyFunSuite {
 
   test("Tau-Push index holds DPR and GBP credits") {
     val vi = indices(Variants.TauPushVar)
-    assert(vi.pprviz.isDefined && vi.bytes == vi.pprviz.get.sizeBytes)
+    val ix = PPRviz.buildIndex(g, hier, k, PPRviz.DefaultAlpha, PPRviz.DefaultEps, 0.0)
+    assert(vi.bytes == ix.sizeBytes)
     assert(vi.bytes >= hier.sizeBytes + 8L * g.n)
   }
 
   test("visualize returns a layout for fast variants and None on expired deadlines") {
-    val ok = Variants.visualize(indices(Variants.TauPushVar), g,
-      hier.nLevels + 1, -1, k, Deadline.in(60.0))
+    val ok = Variants.visualize(indices(Variants.TauPushVar),
+      hier.nLevels + 1, -1, Deadline.in(60.0))
     assert(ok.isDefined)
-    val timedOut = Variants.visualize(indices(Variants.PiVar), g,
-      hier.nLevels + 1, -1, k, new Deadline(System.nanoTime() - 1))
+    val timedOut = Variants.visualize(indices(Variants.PiVar),
+      hier.nLevels + 1, -1, new Deadline(System.nanoTime() - 1))
     assert(timedOut.isEmpty)
   }
 
   test("responseTime yields Some for Tau-Push and None under an expired deadline") {
-    val some = Variants.responseTime(indices(Variants.TauPushVar), g, k,
+    val some = Variants.responseTime(indices(Variants.TauPushVar),
       paths = 1, deadlineSec = 60.0, seed = 4)
     assert(some.exists(_ > 0))
-    val none = Variants.responseTime(indices(Variants.PiVar), g, k,
+    val none = Variants.responseTime(indices(Variants.PiVar),
       paths = 1, deadlineSec = 1e-9, seed = 4)
     assert(none.isEmpty)
   }
