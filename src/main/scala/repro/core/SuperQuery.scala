@@ -15,11 +15,15 @@ import repro.ppr.Dpr
   * ad-hoc query ([[SuperQuery.apply]]) fills both arrays in O(n) once and
   * scans its children's leaves for the statistics.
   *
+  * The constructor serves [[repro.hierarchy.Hierarchy]], which vouches for
+  * the arrays; it checks nothing. Other callers use [[SuperQuery.apply]].
+  *
   * @param n        number of leaf nodes in the whole graph G
   * @param children leaf-node sets F(V_i), one array per child supernode
   * @param avgDegs  avgdeg(V_i) of every child, the Eq. 6 denominator term
+  * @param dpr      τ_j of every child for a leaf DPR vector
   */
-final class SuperQuery private (
+final class SuperQuery private[repro] (
     val n: Int,
     val children: Array[Array[Int]],
     owner: Array[Int],
@@ -105,16 +109,6 @@ object SuperQuery {
     new SuperQuery(n, children, owner, 0, members, children.map(avgDegree(_, g.outDeg)),
       leafDpr => children.map(Dpr.ofSupernode(leafDpr, _)))
   }
-
-  /** A query on a hierarchy's supernode: `children` are the leaf sets of
-    * its children, leaf v lies in child `slot(v)` when `owner(v) == ownerId`,
-    * `avgDeg` holds the children's avgdeg and `dpr` gives their τ_j for a
-    * leaf DPR vector. The caller vouches for the arrays; nothing is checked.
-    */
-  private[repro] def inHierarchy(n: Int, children: Array[Array[Int]], owner: Array[Int],
-                                 ownerId: Int, slot: Array[Int], avgDeg: Array[Double],
-                                 dpr: Array[Double] => Array[Double]): SuperQuery =
-    new SuperQuery(n, children, owner, ownerId, slot, avgDeg, dpr)
 
   /** Mean out-degree of a leaf set, summed in leaf order: the one avgdeg
     * formula, shared by queries and the hierarchy's per-supernode table.

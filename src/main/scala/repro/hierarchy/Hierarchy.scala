@@ -35,7 +35,8 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
       out(l + 1) = out(l).map(parents(l))
       l += 1
     }
-    out(nLevels + 1) = Array.fill(g.n)(-1)
+    out(nLevels + 1) = new Array[Int](g.n)
+    java.util.Arrays.fill(out(nLevels + 1), -1)
     out
   }
 
@@ -107,27 +108,22 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     below :+ Array(Array.range(0, if (nLevels == 0) g.n else below(nLevels).length))
   }
 
-  /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ in 1..nLevels,
-    * or of the virtual root, id -1 at level nLevels+1.
+  /** Ids of the nodes at level ℓ in 1..nLevels+1: 0 until levelSize(ℓ) for
+    * supernodes, and -1 alone for the virtual root.
+    */
+  def ids(level: Int): Range =
+    if (level > nLevels) -1 until 0 else 0 until levelSize(level)
+
+  /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ in
+    * 1..nLevels+1.
     */
   def childrenOf(level: Int, id: Int): Array[Int] = {
     require(level >= 1 && level <= nLevels + 1,
       s"no supernode $id at level $level: levels run 1..${nLevels + 1}")
-    if (level > nLevels) {
-      require(id == -1, s"level $level holds only the virtual root, id -1; got id $id")
-      children(level)(0)
-    } else {
-      require(id >= 0 && id < levelSize(level),
-        s"no supernode $id at level $level: its ids run 0 until ${levelSize(level)}")
-      children(level)(id)
-    }
+    val r = ids(level)
+    require(r.contains(id), s"no supernode $id at level $level: its ids run ${r.start} until ${r.end}")
+    children(level)(id - r.start)
   }
-
-  /** Every query's (level, id) address: each supernode, level by level from
-    * 1 up, then the virtual root (nLevels+1, -1).
-    */
-  def queries: Seq[(Int, Int)] =
-    (1 to nLevels).flatMap(l => (0 until levelSize(l)).map((l, _))) :+ ((nLevels + 1, -1))
 
   /** The query on supernode `id` at level ℓ, whose children are the
     * level-(ℓ−1) nodes `ids`. O(k): every array it reads is built once per
@@ -135,7 +131,7 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     */
   private[repro] def query(level: Int, id: Int, ids: Array[Int]): SuperQuery = {
     val l = level - 1
-    SuperQuery.inHierarchy(g.n, ids.map(leafSets(l)(_)), anc(level), id, slot(l),
+    new SuperQuery(g.n, ids.map(leafSets(l)(_)), anc(level), id, slot(l),
       Hierarchy.gather(supernodeAvgDeg(l), ids),
       leafDpr => Hierarchy.gather(supernodeDpr(leafDpr)(l), ids))
   }

@@ -84,7 +84,7 @@ object PPRviz {
     val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
     // Targets grouped by parent, so each parent query is built once, and
     // only for parents with a target.
-    for ((level, p) <- hier.queries) {
+    for (level <- 1 to hier.nLevels + 1; p <- hier.ids(level)) {
       val children = hier.childrenOf(level, p)
       val targets  = children.filter(c =>
         TauPush.isGbpTarget(tau(level - 1)(c), children.length, g.n))

@@ -18,8 +18,12 @@ class QueryTablesSpec extends AnyFunSuite {
   )
   private lazy val built = graphs.map { case (name, g) => (name, g, Hierarchy.build(g, 10)) }
 
+  /** Every supernode and the virtual root. */
+  private def queries(h: Hierarchy): Seq[(Int, Int)] =
+    (1 to h.nLevels + 1).flatMap(l => h.ids(l).map((l, _)))
+
   test("a hierarchy query finds every leaf in the child SuperQuery.apply puts it in") {
-    for ((name, g, h) <- built; (level, id) <- h.queries) {
+    for ((name, g, h) <- built; (level, id) <- queries(h)) {
       val (q, _)   = PPRviz.queryWithIds(h, level, id)
       val adhoc    = SuperQuery(g, q.children)
       val expected = Array.fill(g.n)(-1)
@@ -33,7 +37,7 @@ class QueryTablesSpec extends AnyFunSuite {
     def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
     for ((name, g, h) <- built) {
       val dpr = Dpr.vector(g, PPRviz.DefaultAlpha)
-      h.queries.foreach { case (level, id) =>
+      queries(h).foreach { case (level, id) =>
         val (q, _) = PPRviz.queryWithIds(h, level, id)
         val adhoc  = SuperQuery(g, q.children)
         val tau    = q.childDpr(dpr)

@@ -28,9 +28,7 @@ class PPRvizSpec extends AnyFunSuite {
     (0 to hier.nLevels).foreach { level =>
       val sets = hier.leafSets(level)
       sets.indices.foreach { id =>
-        val parentK =
-          if (level == hier.nLevels) sets.length
-          else hier.childrenOf(level + 1, hier.parents(level)(id)).length
+        val parentK = hier.childrenOf(level + 1, hier.anc(level + 1)(sets(id)(0))).length
         val tau  = 1.0 / math.sqrt(parentK.toDouble * g.n)
         val tauJ = Dpr.ofSupernode(index.leafDpr, sets(id))
         assert(index.gbpAgg.contains((level, id)) == (tauJ > tau),
@@ -40,7 +38,8 @@ class PPRvizSpec extends AnyFunSuite {
   }
 
   // Every query of the hierarchy: each supernode and the virtual root.
-  private lazy val queries = index.hier.queries
+  private lazy val queries =
+    (1 to index.hier.nLevels + 1).flatMap(l => index.hier.ids(l).map((l, _)))
 
   test("index keys are exactly the GBP targets of all queries, each read as an index hit") {
     val hier = index.hier
@@ -113,9 +112,8 @@ class PPRvizSpec extends AnyFunSuite {
   test("stored GBP aggregates equal a live GBP run against the parent query") {
     assert(index.gbpAgg.nonEmpty, "expected at least one high-DPR supernode")
     index.gbpAgg.foreach { case ((level, id), stored) =>
-      val (q, ids) =
-        if (level == index.hier.nLevels) PPRviz.queryWithIds(index.hier, index.hier.nLevels + 1, -1)
-        else PPRviz.queryWithIds(index.hier, level + 1, index.hier.parents(level)(id))
+      val parent   = index.hier.anc(level + 1)(index.hier.leafSets(level)(id)(0))
+      val (q, ids) = PPRviz.queryWithIds(index.hier, level + 1, parent)
       val j = ids.indexOf(id)
       assert(j >= 0, s"($level,$id) not among its parent's children")
       val maxAvgDeg = q.avgDegs.max

@@ -13,7 +13,7 @@ class QueryAllocationSpec extends AnyFunSuite {
     val g    = GraphGen.youtubeLite
     val hier = Hierarchy.build(g, 25)
     val dpr  = Dpr.vector(g, PPRviz.DefaultAlpha)
-    val all  = hier.queries
+    val all  = (1 to hier.nLevels + 1).flatMap(l => hier.ids(l).map((l, _)))
     def click(level: Int, id: Int): Unit = {
       val (q, _) = PPRviz.queryWithIds(hier, level, id)
       q.childDpr(dpr)
