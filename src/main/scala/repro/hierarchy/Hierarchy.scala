@@ -96,9 +96,9 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
       out
     }
 
-  /** children(ℓ)(p) = level-(ℓ-1) ids under supernode p at level ℓ,
-    * ascending, for ℓ in 1..nLevels+1; the virtual root's are
-    * children(nLevels+1)(0). Built once per level (children(0) is empty).
+  /** children(ℓ)(i) = level-(ℓ-1) ids under the i-th node of level ℓ (id
+    * `ids(ℓ)(i)`), ascending, for ℓ in 1..nLevels+1. Built once per level
+    * (children(0) is empty).
     */
   private lazy val children: Array[Array[Array[Int]]] = {
     val below = Array.tabulate(nLevels + 1) { l =>
