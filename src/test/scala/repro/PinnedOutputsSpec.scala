@@ -3,9 +3,10 @@ package repro
 import java.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Dppr, Fixtures, Gfra, PDist, TauPush}
+import repro.exp.{QualityTables, UserStudy}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.hierarchy.Hierarchy
-import repro.layout.{ForceDirected, StressMajorization}
+import repro.layout.{ForceDirected, GFactor, Sdne, SimRankDist, StressMajorization}
 import repro.ppr.{Deadline, Dpr, Fora, WalkIndex}
 import repro.viz.{PPRviz, Variants}
 
@@ -177,5 +178,21 @@ class PinnedOutputsSpec extends AnyFunSuite {
     val wrong = actual.filter { case (name, h) => h != expected(name) }
     assert(wrong.isEmpty, wrong.map { case (name, h) =>
       f"$name: hash 0x$h%016xL, pinned 0x${expected(name)}%016xL" }.mkString("; "))
+  }
+
+  test("GFactor, SDNE and the SimRank distances on TwEgo are pinned") {
+    val tw = GraphGen.twEgo
+    pin("GFactor", bits(GFactor.layout(tw, seed = 7)), 0x029f1828a0ff3229L)
+    pin("SDNE", bits(Sdne.layout(tw, epochs = 30, seed = 7)), 0x1c14a50c069019f8L)
+    pin("SimRank distances", bits(SimRankDist.distances(tw)), 0x4bb7be86cfe4bd7cL)
+  }
+
+  test("the PPRviz quality layout on TwEgo and the DPR vector on Wiki-ii are pinned") {
+    pin("QualityTables.pprvizLayout", bits(QualityTables.pprvizLayout(GraphGen.twEgo, alpha, 7)), 0xb083b62fa9a2323fL)
+    pin("Dpr.vector", bits(dpr), 0xe71905ce8c64093bL)
+  }
+
+  test("the user study's counts with two judges are pinned") {
+    assert(UserStudy.run(nJudges = 2) == UserStudy.Counts(1, 6, 5))
   }
 }
