@@ -10,7 +10,7 @@ import repro.graph.GraphGen
   */
 object JobSession {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")

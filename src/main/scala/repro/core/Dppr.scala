@@ -17,12 +17,12 @@ object Dppr {
     * is a PPR vector by linearity, so a single PI run suffices per child.
     */
   def exactRow(g: LocalGraph, q: SuperQuery, srcChild: Int, alpha: Double,
-               tol: Double = 1e-9, deadline: Deadline = Deadline.none): Array[Double] = {
+               deadline: Deadline = Deadline.none): Array[Double] = {
     val leaves = q.children(srcChild)
     val degSum = leaves.map(g.outDeg(_).toDouble).sum
     val s      = new Array[Double](g.n)
     leaves.foreach(v => s(v) = g.outDeg(v) / degSum)
-    val p     = PowerIteration.pprFromDistribution(g, s, alpha, tol, deadline)
+    val p     = PowerIteration.pprFromDistribution(g, s, alpha, deadline)
     val scale = degSum / leaves.length
     val sums  = q.childSums(p)
     Array.tabulate(q.k)(j => sums(j) * scale / q.size(j))
@@ -30,8 +30,8 @@ object Dppr {
 
   /** Exact k×k level-ℓ DPPR matrix. */
   def exactMatrix(g: LocalGraph, q: SuperQuery, alpha: Double,
-                  tol: Double = 1e-9, deadline: Deadline = Deadline.none): Array[Array[Double]] =
-    Array.tabulate(q.k)(i => exactRow(g, q, i, alpha, tol, deadline))
+                  deadline: Deadline = Deadline.none): Array[Array[Double]] =
+    Array.tabulate(q.k)(i => exactRow(g, q, i, alpha, deadline))
 
   /** The paper's `PI` baseline as actually described in §3.3 / §7.4: invoke
     * power iteration *per leaf node* of the selected supernode and average
@@ -39,11 +39,8 @@ object Dppr {
     * is what makes PI exceed the response deadline in Table 8).
     */
   def perLeafMatrix(g: LocalGraph, q: SuperQuery, alpha: Double,
-                    tol: Double = 1e-9, deadline: Deadline = Deadline.none): Array[Array[Double]] =
-    perLeafAverage(q, deadline) { s =>
-      val d = g.outDeg(s).toDouble
-      PowerIteration.ppr(g, s, alpha, tol).map(_ * d)
-    }
+                    deadline: Deadline = Deadline.none): Array[Array[Double]] =
+    perLeafAverage(q, deadline)(PowerIteration.dppr(g, _, alpha))
 
   /** Eq. 2 from single-source DPPR vectors `row(s)`, one per leaf s of each
     * source child: π_d(V_i, V_j) = Σ_{s∈F(V_i)} Σ_{t∈F(V_j)} row(s)(t) /

@@ -6,6 +6,7 @@ import repro.graph.{GraphGen, LocalGraph}
 import repro.layout._
 import repro.metrics.Aesthetics
 import repro.ppr.PowerIteration
+import repro.viz.PPRviz
 
 /** Tables 4, 5 and 11: ND / ULCV / AR of PPRviz and the 11 baselines on the
   * 6 small graphs, single-level.
@@ -15,30 +16,32 @@ object QualityTables {
   final case class Cell(nd: Double, ulcv: Option[Double], ar: Double)
   final case class Result(rows: Map[(String, String), Cell])
 
+  val Seed = 7L // every method's layout seed
+
   /** PPRviz single-level layout: exact PDist (near-exact PPR by PI, as the
     * quality experiments isolate the distance measure; T6 shows Tau-Push is
     * perceptually indistinguishable) + stress majorization.
     */
-  def pprvizLayout(g: LocalGraph, alpha: Double, seed: Long): Array[Array[Double]] = {
-    val dppr  = PowerIteration.dpprMatrix(g, alpha, 1e-9)
+  def pprvizLayout(g: LocalGraph): Array[Array[Double]] = {
+    val dppr  = PowerIteration.dpprMatrix(g, PPRviz.DefaultAlpha)
     val pdist = PDist.matrix(dppr, g.n)
-    StressMajorization.layout(pdist, seed)
+    StressMajorization.layout(pdist, Seed)
   }
 
   /** All 12 layout methods, in paper column order. */
-  def methods(spark: SparkSession, alpha: Double, seed: Long): Seq[(String, LocalGraph => Array[Array[Double]])] = Seq(
-    "PPRviz"     -> ((g: LocalGraph) => pprvizLayout(g, alpha, seed)),
-    "OpenOrd/FR" -> ((g: LocalGraph) => ForceDirected.fr(g, seed = seed)),
-    "LinLog"     -> ((g: LocalGraph) => ForceDirected.linLog(g, seed = seed)),
-    "ForceAtlas" -> ((g: LocalGraph) => ForceDirected.forceAtlas(g, seed = seed)),
-    "CMDS"       -> ((g: LocalGraph) => Cmds.layout(g, seed)),
-    "PMDS"       -> ((g: LocalGraph) => Pmds.layout(g, seed = seed)),
-    "GFactor"    -> ((g: LocalGraph) => GFactor.layout(g, seed = seed)),
-    "SDNE"       -> ((g: LocalGraph) => Sdne.layout(g, seed = seed)),
+  def methods(spark: SparkSession): Seq[(String, LocalGraph => Array[Array[Double]])] = Seq(
+    "PPRviz"     -> ((g: LocalGraph) => pprvizLayout(g)),
+    "OpenOrd/FR" -> ((g: LocalGraph) => ForceDirected.fr(g, seed = Seed)),
+    "LinLog"     -> ((g: LocalGraph) => ForceDirected.linLog(g, seed = Seed)),
+    "ForceAtlas" -> ((g: LocalGraph) => ForceDirected.forceAtlas(g, seed = Seed)),
+    "CMDS"       -> ((g: LocalGraph) => Cmds.layout(g, Seed)),
+    "PMDS"       -> ((g: LocalGraph) => Pmds.layout(g, seed = Seed)),
+    "GFactor"    -> ((g: LocalGraph) => GFactor.layout(g, seed = Seed)),
+    "SDNE"       -> ((g: LocalGraph) => Sdne.layout(g, seed = Seed)),
     "LapEig"     -> ((g: LocalGraph) => Spectral.lapEig(g)),
     "LLE"        -> ((g: LocalGraph) => Spectral.lle(g)),
-    "Node2vec"   -> ((g: LocalGraph) => Node2vecLayout.layout(spark, g, seed = seed)),
-    "SimRank"    -> ((g: LocalGraph) => SimRankDist.layout(g, seed)),
+    "Node2vec"   -> ((g: LocalGraph) => Node2vecLayout.layout(spark, g, seed = Seed)),
+    "SimRank"    -> ((g: LocalGraph) => SimRankDist.layout(g, Seed)),
   )
 
   def evaluate(g: LocalGraph, x: Array[Array[Double]]): Cell = {
@@ -47,11 +50,10 @@ object QualityTables {
     Cell(Aesthetics.nd(xn), Aesthetics.ulcv(xn, edges), Aesthetics.ar(xn, g))
   }
 
-  def run(spark: SparkSession, alpha: Double = 0.2, seed: Long = 7,
-          graphs: Seq[(String, LocalGraph)] = GraphGen.smallGraphs): Result = {
+  def run(spark: SparkSession, graphs: Seq[(String, LocalGraph)] = GraphGen.smallGraphs): Result = {
     val rows = for {
       (gName, g)   <- graphs
-      (mName, fn)  <- methods(spark, alpha, seed)
+      (mName, fn)  <- methods(spark)
     } yield {
       val cell = evaluate(g, fn(g))
       (gName, mName) -> cell

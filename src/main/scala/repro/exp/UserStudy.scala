@@ -13,12 +13,12 @@ import repro.viz.PPRviz
   * change visualization quality versus near-exact PI?
   *
   * Substitution (DESIGN.md §3): the paper's 30 human participants are
-  * replaced by 30 seeded perceptual judges. Each judge scores a layout with a
-  * personal random linear weighting of the aesthetic signals (log ND, ULCV,
-  * log AR) plus multiplicative preference noise, and reports "no difference"
-  * when the two scores are within an indifference threshold. Groups follow
-  * the paper: FilmTrust and SciNet × k ∈ {15, 20, 25}, 30 judges × 6 groups
-  * = 180 instances.
+  * replaced by 30 perceptual judges seeded from `Seed`. Each judge scores a
+  * layout with a personal random linear weighting of the aesthetic signals
+  * (log ND, ULCV, log AR) plus multiplicative preference noise, and reports
+  * "no difference" when the scores differ by less than `Indifference` of the
+  * larger. Groups follow the paper: FilmTrust and SciNet × k ∈ {15, 20, 25},
+  * 30 judges × 6 groups = 180 instances.
   */
 object UserStudy {
 
@@ -38,9 +38,9 @@ object UserStudy {
     (math.log(math.max(nd, 1e-9)), ulcv, math.log(math.max(ar, 1e-9)))
   }
 
-  def run(alpha: Double = PPRviz.DefaultAlpha, eps: Double = PPRviz.DefaultEps,
-          nJudges: Int = 30, indifference: Double = 0.05,
-          seed: Long = 2023): Counts = {
+  val Indifference = 0.05; val Seed = 2023L
+
+  def run(nJudges: Int = 30): Counts = {
     val groups = for {
       (name, g) <- Seq("FilmTrust" -> GraphGen.filmTrust, "SciNet" -> GraphGen.sciNet)
       k         <- Seq(15, 20, 25)
@@ -50,19 +50,18 @@ object UserStudy {
     groups.foreach { case (_, g, k) =>
       val hier = Hierarchy.build(g, k)
       val q    = hier.rootQuery
-      val dpr  = Dpr.vector(g, alpha)
-      val del  = PPRviz.delta(k)
+      val dpr  = Dpr.vector(g, PPRviz.DefaultAlpha)
 
-      val tauRes  = TauPush.run(g, q, dpr, alpha, eps, del)
-      val piDppr  = Dppr.exactMatrix(g, q, alpha)
-      val xTau    = StressMajorization.layout(tauRes.pdist, seed)
-      val xPi     = StressMajorization.layout(PDist.matrix(piDppr, g.n), seed)
+      val tauRes  = TauPush.run(g, q, dpr, PPRviz.DefaultAlpha, PPRviz.DefaultEps, PPRviz.delta(k))
+      val piDppr  = Dppr.exactMatrix(g, q, PPRviz.DefaultAlpha)
+      val xTau    = StressMajorization.layout(tauRes.pdist, Seed)
+      val xPi     = StressMajorization.layout(PDist.matrix(piDppr, g.n), Seed)
       val display = q.displayGraph(g)
       val sTau    = signals(display, xTau)
       val sPi     = signals(display, xPi)
 
       (0 until nJudges).foreach { j =>
-        val rnd  = new Random(seed * 31 + j)
+        val rnd  = new Random(Seed * 31 + j)
         val wNd  = 0.5 + rnd.nextDouble()
         val wUl  = 0.5 + rnd.nextDouble()
         val wAr  = 0.2 + 0.3 * rnd.nextDouble()
@@ -71,7 +70,7 @@ object UserStudy {
         val a = score(sTau)
         val b = score(sPi)
         val rel = math.abs(a - b) / math.max(math.abs(a).max(math.abs(b)), 1e-9)
-        if (rel < indifference) cNo += 1
+        if (rel < Indifference) cNo += 1
         else if (a < b) cTau += 1
         else cPi += 1
       }

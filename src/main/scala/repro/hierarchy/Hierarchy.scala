@@ -29,11 +29,12 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     */
   lazy val anc: Array[Array[Int]] = {
     val out = new Array[Array[Int]](nLevels + 2)
-    out(0) = Array.tabulate(g.n)(identity)
-    var l = 0
-    while (l < nLevels) {
-      out(l + 1) = out(l).map(parents(l))
-      l += 1
+    out(0) = Array.range(0, g.n)
+    (0 until nLevels).foreach { l =>
+      val a = out(l); val p = parents(l); val up = new Array[Int](g.n)
+      var v = 0
+      while (v < up.length) { up(v) = p(a(v)); v += 1 }
+      out(l + 1) = up
     }
     out(nLevels + 1) = new Array[Int](g.n)
     java.util.Arrays.fill(out(nLevels + 1), -1)

@@ -9,20 +9,21 @@ import repro.graph.LocalGraph
   */
 object GFactor {
 
-  def layout(g: LocalGraph, epochs: Int = 200, eta: Double = 0.02,
-             lambda: Double = 0.05, seed: Long = 0): Array[Array[Double]] = {
+  val Epochs = 200; val Eta = 0.02; val Lambda = 0.05
+
+  def layout(g: LocalGraph, seed: Long = 0): Array[Array[Double]] = {
     val n   = g.n
     val rnd = new Random(seed)
     val y   = Array.fill(n, 2)(rnd.nextDouble() * 0.1 - 0.05)
     val edges = g.arcs.filter { case (s, d) => s != d }.toArray
     var e = 0
-    while (e < epochs) {
+    while (e < Epochs) {
       edges.foreach { case (i, j) =>
         val dot = y(i)(0) * y(j)(0) + y(i)(1) * y(j)(1)
         val err = 1.0 - dot
-        val gi0 = err * y(j)(0) - lambda * y(i)(0)
-        val gi1 = err * y(j)(1) - lambda * y(i)(1)
-        y(i)(0) += eta * gi0; y(i)(1) += eta * gi1
+        val gi0 = err * y(j)(0) - Lambda * y(i)(0)
+        val gi1 = err * y(j)(1) - Lambda * y(i)(1)
+        y(i)(0) += Eta * gi0; y(i)(1) += Eta * gi1
       }
       e += 1
     }
@@ -38,8 +39,9 @@ object GFactor {
   */
 object Sdne {
 
-  def layout(g: LocalGraph, epochs: Int = 150, eta: Double = 0.01,
-             beta: Double = 5.0, nu: Double = 1e-3, seed: Long = 0): Array[Array[Double]] = {
+  val Eta = 0.01; val Beta = 5.0; val Nu = 1e-3
+
+  def layout(g: LocalGraph, epochs: Int = 150, seed: Long = 0): Array[Array[Double]] = {
     val n   = g.n
     val rnd = new Random(seed)
     val a   = Spectral.symAdjacency(g)
@@ -48,7 +50,7 @@ object Sdne {
 
     var w1 = DenseMatrix.tabulate(n, 2)((_, _) => rnd.nextGaussian() * 0.01)
     var w2 = DenseMatrix.tabulate(2, n)((_, _) => rnd.nextGaussian() * 0.01)
-    val b  = DenseMatrix.tabulate(n, n)((i, j) => if (a(i, j) != 0.0) beta else 1.0)
+    val b  = DenseMatrix.tabulate(n, n)((i, j) => if (a(i, j) != 0.0) Beta else 1.0)
 
     var e = 0
     while (e < epochs) {
@@ -57,10 +59,10 @@ object Sdne {
       val ahat = breeze.numerics.sigmoid(pre)
       val dAhat = (ahat - a) *:* b *:* ahat *:* (DenseMatrix.ones[Double](n, n) - ahat)
       val gW2   = z.t * dAhat                 // 2×n
-      val dZ    = dAhat * w2.t + (lap * z) * (2.0 * nu)
+      val dZ    = dAhat * w2.t + (lap * z) * (2.0 * Nu)
       val gW1   = a.t * dZ                    // n×2
-      w1 = w1 - gW1 * eta
-      w2 = w2 - gW2 * eta
+      w1 = w1 - gW1 * Eta
+      w2 = w2 - gW2 * Eta
       e += 1
     }
     val z = a * w1

@@ -16,31 +16,30 @@ object ForceDirected {
   private case object LinLog      extends Model
   private case object ForceAtlas2 extends Model
 
+  val Iters = 300
+
   /** Fruchterman–Reingold: repulsion k²/d between all pairs, attraction d²/k
     * along edges, displacement capped by a cooling temperature.
     */
-  def fr(g: LocalGraph, iters: Int = 300, seed: Long = 0): Array[Array[Double]] =
-    relax(g, iters, seed, Fr)
+  def fr(g: LocalGraph, seed: Long = 0): Array[Array[Double]] = relax(g, seed, Fr)
 
   /** LinLog energy model: linear attraction along edges, logarithmic
     * repulsion (force magnitude 1/d) between all pairs.
     */
-  def linLog(g: LocalGraph, iters: Int = 300, seed: Long = 0): Array[Array[Double]] =
-    relax(g, iters, seed, LinLog)
+  def linLog(g: LocalGraph, seed: Long = 0): Array[Array[Double]] = relax(g, seed, LinLog)
 
   /** ForceAtlas2: degree-weighted repulsion k_r(d_i+1)(d_j+1)/d, linear
     * attraction, and gravity pulling every node toward the origin.
     */
-  def forceAtlas(g: LocalGraph, iters: Int = 300, seed: Long = 0): Array[Array[Double]] =
-    relax(g, iters, seed, ForceAtlas2)
+  def forceAtlas(g: LocalGraph, seed: Long = 0): Array[Array[Double]] = relax(g, seed, ForceAtlas2)
 
-  /** `iters` rounds of all-pairs repulsion, edge attraction and (ForceAtlas2)
+  /** `Iters` rounds of all-pairs repulsion, edge attraction and (ForceAtlas2)
     * gravity; each node moves by its displacement capped at the cooling
     * step. The model's terms are chosen by branches on loop-invariant flags
     * and summed in locals, so the O(n²) loop makes no call and no store per
     * pair.
     */
-  private def relax(g: LocalGraph, iters: Int, seed: Long, model: Model): Array[Array[Double]] = {
+  private def relax(g: LocalGraph, seed: Long, model: Model): Array[Array[Double]] = {
     val n     = g.n
     val nb    = ShortestPaths.undirectedAdj(g)
     val k     = math.sqrt(1.0 / n) // FR's ideal edge length
@@ -56,8 +55,8 @@ object ForceDirected {
     val dispX = new Array[Double](n)
     val dispY = new Array[Double](n)
     var it    = 0
-    while (it < iters) {
-      val step = step0 * (1.0 - it.toDouble / iters) + 1e-4
+    while (it < Iters) {
+      val step = step0 * (1.0 - it.toDouble / Iters) + 1e-4
       var i = 0
       while (i < n) {
         val xi0 = x(i)(0); val xi1 = x(i)(1)

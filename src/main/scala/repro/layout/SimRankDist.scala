@@ -9,15 +9,17 @@ import repro.graph.LocalGraph
   */
 object SimRankDist {
 
+  val C = 0.6; val Iters = 8
+
   /** Dense SimRank by the standard fixed-point iteration over in-neighbour
     * pairs: `s(a,b) = C/(|I(a)||I(b)|)·Σ_{u∈I(a),v∈I(b)} s(u,v)`, s(a,a)=1.
     */
-  def simrank(g: LocalGraph, c: Double = 0.6, iters: Int = 8): Array[Array[Double]] = {
+  def simrank(g: LocalGraph): Array[Array[Double]] = {
     val n  = g.n
     val in = Array.tabulate(n)(v => g.inNeighbors(v).toArray)
     var s  = Array.tabulate(n, n)((a, b) => if (a == b) 1.0 else 0.0)
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       val next = Array.ofDim[Double](n, n)
       var a = 0
       while (a < n) {
@@ -34,7 +36,7 @@ object SimRankDist {
               while (j < ib.length) { acc += su(ib(j)); j += 1 }
               i += 1
             }
-            val v = c * acc / (ia.length.toDouble * ib.length)
+            val v = C * acc / (ia.length.toDouble * ib.length)
             next(a)(b) = v
             next(b)(a) = v
           }
@@ -51,8 +53,8 @@ object SimRankDist {
   /** SimRank-distance matrix via Eq. 1 (SimRank is symmetric, so the
     * "π_d(i,j) + π_d(j,i)" slot receives 2·s(i,j)).
     */
-  def distances(g: LocalGraph, c: Double = 0.6, iters: Int = 8): Array[Array[Double]] = {
-    val s = simrank(g, c, iters)
+  def distances(g: LocalGraph): Array[Array[Double]] = {
+    val s = simrank(g)
     val n = g.n
     Array.tabulate(n, n) { (i, j) =>
       if (i == j) 0.0 else PDist.fromDpprSum(2.0 * s(i)(j), n)

@@ -15,11 +15,12 @@ import java.util.Random
   */
 object StressMajorization {
 
+  val MaxIter = 300; val Tol = 1e-6 // sweeps; relative loss change that stops them
+
   /** Lay out a symmetric distance matrix; entries `d(i)(j) <= 0` (diagonal)
     * are skipped.
     */
-  def layout(d: Array[Array[Double]], seed: Long = 0, maxIter: Int = 300,
-             tol: Double = 1e-6): Array[Array[Double]] = {
+  def layout(d: Array[Array[Double]], seed: Long = 0): Array[Array[Double]] = {
     val n   = d.length
     val rnd = new Random(seed)
     // Positions as two flat arrays, drawn x then y per node.
@@ -45,7 +46,7 @@ object StressMajorization {
     var prev = stress(xs, ys, dd, n)
     var it   = 0
     var done = false
-    while (it < maxIter && !done) {
+    while (it < MaxIter && !done) {
       var i = 0
       while (i < n) {
         var sx = 0.0; var sy = 0.0; var sw = 0.0
@@ -74,7 +75,7 @@ object StressMajorization {
         i += 1
       }
       val cur = stress(xs, ys, dd, n)
-      if (prev > 0 && (prev - cur) / prev < tol) done = true
+      if (prev > 0 && (prev - cur) / prev < Tol) done = true
       prev = cur
       it += 1
     }

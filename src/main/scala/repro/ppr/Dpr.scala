@@ -14,10 +14,10 @@ import repro.graph.LocalGraph
 object Dpr {
 
   /** Leaf-level DPR vector, computed locally by power iteration. */
-  def vector(g: LocalGraph, alpha: Double, tol: Double = 1e-9): Array[Double] = {
+  def vector(g: LocalGraph, alpha: Double): Array[Double] = {
     val m = g.m.toDouble
     val s = Array.tabulate(g.n)(v => g.outDeg(v) / m)
-    PowerIteration.pprFromDistribution(g, s, alpha, tol)
+    PowerIteration.pprFromDistribution(g, s, alpha)
   }
 
   /** DPR of a supernode = mean leaf DPR (Eq. 4 restricted to F(V_j)). */

@@ -6,25 +6,26 @@ import repro.graph.LocalGraph
   *
   * The paper runs PI "until the absolute error of PPR is less than 1e-9".
   * Since the restart series contracts by (1-α) per term, running
-  * `t = ceil(ln(tol) / ln(1-α))` iterations bounds the truncation error of
-  * every entry by `tol`. These routines are the correctness oracle for every
+  * `t = ceil(ln(Tol) / ln(1-α))` iterations bounds the truncation error of
+  * every entry by `Tol`. These routines are the correctness oracle for every
   * approximate algorithm in the repo.
   */
 object PowerIteration {
 
-  /** Iterations needed for absolute error < tol. */
-  def itersFor(alpha: Double, tol: Double = 1e-9): Int =
-    math.ceil(math.log(tol) / math.log(1.0 - alpha)).toInt + 1
+  val Tol = 1e-9
+
+  /** Iterations needed for absolute error < [[Tol]]. */
+  def itersFor(alpha: Double): Int =
+    math.ceil(math.log(Tol) / math.log(1.0 - alpha)).toInt + 1
 
   /** PPR vector for a source distribution `s` (must sum to 1):
     * p ← α·s + (1-α)·Pᵀp.
     */
   def pprFromDistribution(g: LocalGraph, s: Array[Double], alpha: Double,
-                          tol: Double = 1e-9,
                           deadline: Deadline = Deadline.none): Array[Double] = {
     val n = g.n
     var p = s.clone()
-    val iters = itersFor(alpha, tol)
+    val iters = itersFor(alpha)
     var it = 0
     while (it < iters) {
       deadline.check()
@@ -49,26 +50,26 @@ object PowerIteration {
   }
 
   /** Single-source PPR vector π(src, ·). */
-  def ppr(g: LocalGraph, src: Int, alpha: Double, tol: Double = 1e-9): Array[Double] = {
+  def ppr(g: LocalGraph, src: Int, alpha: Double): Array[Double] = {
     val s = new Array[Double](g.n)
     s(src) = 1.0
-    pprFromDistribution(g, s, alpha, tol)
+    pprFromDistribution(g, s, alpha)
   }
 
   /** Single-source DPPR vector π_d(src, ·) = π(src, ·) · d(src). */
-  def dppr(g: LocalGraph, src: Int, alpha: Double, tol: Double = 1e-9): Array[Double] = {
-    val p = ppr(g, src, alpha, tol)
+  def dppr(g: LocalGraph, src: Int, alpha: Double): Array[Double] = {
+    val p = ppr(g, src, alpha)
     val d = g.outDeg(src).toDouble
     p.map(_ * d)
   }
 
   /** Full n×n PPR matrix — tests/small graphs only. */
-  def pprMatrix(g: LocalGraph, alpha: Double, tol: Double = 1e-9): Array[Array[Double]] =
-    Array.tabulate(g.n)(src => ppr(g, src, alpha, tol))
+  def pprMatrix(g: LocalGraph, alpha: Double): Array[Array[Double]] =
+    Array.tabulate(g.n)(src => ppr(g, src, alpha))
 
   /** Full n×n DPPR matrix — tests/small graphs only. */
-  def dpprMatrix(g: LocalGraph, alpha: Double, tol: Double = 1e-9): Array[Array[Double]] =
-    Array.tabulate(g.n)(src => dppr(g, src, alpha, tol))
+  def dpprMatrix(g: LocalGraph, alpha: Double): Array[Array[Double]] =
+    Array.tabulate(g.n)(src => dppr(g, src, alpha))
 }
 
 /** Wall-clock deadline used to reproduce the paper's response-time cutoffs

@@ -54,19 +54,17 @@ object PPRviz {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  def preprocess(g: LocalGraph, k: Int, alpha: Double = DefaultAlpha,
-                 eps: Double = DefaultEps): PprVizIndex = {
+  def preprocess(g: LocalGraph, k: Int): PprVizIndex = {
     val (hier, tHier) = timeSec(Hierarchy.build(g, k))
-    buildIndex(g, hier, k, alpha, eps, tHier)
+    buildIndex(hier, k, tHier)
   }
 
   /** The DPR and GBP index on a built hierarchy; `hierSeconds` records what
     * building the hierarchy took.
     */
-  def buildIndex(g: LocalGraph, hier: Hierarchy, k: Int, alpha: Double,
-                 eps: Double, hierSeconds: Double): PprVizIndex = {
-    val (dpr, tDpr) = timeSec(Dpr.vector(g, alpha))
-    val (agg, tGbp) = timeSec(buildGbpAggregates(g, hier, dpr, k, alpha, eps))
+  def buildIndex(hier: Hierarchy, k: Int, hierSeconds: Double): PprVizIndex = {
+    val (dpr, tDpr) = timeSec(Dpr.vector(hier.g, DefaultAlpha))
+    val (agg, tGbp) = timeSec(buildGbpAggregates(hier, dpr, k))
     new PprVizIndex(hier, dpr, agg, hierSeconds, tDpr, tGbp)
   }
 
@@ -76,9 +74,8 @@ object PPRviz {
     * appear in as a child). r^b_max follows Eq. 6 for that query. The stored
     * array is indexed by the child order `queryWithIds` yields.
     */
-  def buildGbpAggregates(g: LocalGraph, hier: Hierarchy, leafDpr: Array[Double],
-                         k: Int, alpha: Double,
-                         eps: Double): Map[(Int, Int), Array[Double]] = {
+  def buildGbpAggregates(hier: Hierarchy, leafDpr: Array[Double],
+                         k: Int): Map[(Int, Int), Array[Double]] = {
     val del  = delta(k)
     val tau  = hier.supernodeDpr(leafDpr)
     val jobs = Array.newBuilder[((Int, Int), SuperQuery, Array[Int], Double)]
@@ -87,10 +84,10 @@ object PPRviz {
     for (level <- 1 to hier.nLevels + 1; p <- hier.ids(level)) {
       val children = hier.childrenOf(level, p)
       val targets  = children.filter(c =>
-        TauPush.isGbpTarget(tau(level - 1)(c), children.length, g.n))
+        TauPush.isGbpTarget(tau(level - 1)(c), children.length, hier.g.n))
       if (targets.nonEmpty) {
         val q     = hier.query(level, p, children)
-        val rbmax = TauPush.rbmax(q, eps, del)
+        val rbmax = TauPush.rbmax(q, DefaultEps, del)
         targets.foreach(c => jobs += (((level - 1, c), q, hier.leafSets(level - 1)(c), rbmax)))
       }
     }
@@ -99,7 +96,7 @@ object PPRviz {
     val agg  = new Array[Array[Double]](todo.length)
     Par.forEach(todo.length) { t =>
       val (_, q, leaves, rbmax) = todo(t)
-      agg(t) = Gbp.aggregate(q, Gbp.credits(g, leaves, alpha, rbmax).est)
+      agg(t) = Gbp.aggregate(q, Gbp.credits(hier.g, leaves, DefaultAlpha, rbmax).est)
     }
     todo.iterator.map(_._1).zip(agg).toMap
   }
@@ -117,10 +114,9 @@ object PPRviz {
     * precomputed DPR/GBP index (Fig. 7c).
     */
   def queryPDist(g: LocalGraph, index: PprVizIndex, level: Int, id: Int,
-                 k: Int, alpha: Double = DefaultAlpha, eps: Double = DefaultEps,
-                 deadline: Deadline = Deadline.none): TauPushResult = {
+                 k: Int, deadline: Deadline = Deadline.none): TauPushResult = {
     val (q, ids) = queryWithIds(index.hier, level, id)
-    TauPush.run(g, q, index.leafDpr, alpha, eps, delta(k), TauPush.Standard,
+    TauPush.run(g, q, index.leafDpr, DefaultAlpha, DefaultEps, delta(k), TauPush.Standard,
       deadline, j => index.gbpAgg.get((level - 1, ids(j))))
   }
 }

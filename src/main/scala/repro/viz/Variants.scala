@@ -5,6 +5,7 @@ import repro.core.{Dppr, Gfra, PDist, SuperQuery, TauPush}
 import repro.hierarchy.Hierarchy
 import repro.layout.StressMajorization
 import repro.ppr._
+import PPRviz.{DefaultAlpha => alpha, DefaultEps => eps}
 
 /** The PPRviz variants of §7.4 / Tables 8–10: PPRviz with its PDist engine
   * swapped for PI, FORA, FORA+, ResAcc, Tau-Push, GFRA or GFP(τ_max).
@@ -35,8 +36,8 @@ object Variants {
   /** A variant's index on the shared hierarchy and its DPPR engine:
     * `dppr(level, id, deadline, seed)` is the approximate level-ℓ DPPR
     * matrix of the children of supernode `id` at `level`, answered with the
-    * k, α and ε the index was built for. Tau-Push and GFP(τ_max) keep
-    * PPRviz's own index: DPR, plus GBP aggregates for Tau-Push only.
+    * k the index was built for and PPRviz's α and ε. Tau-Push and GFP(τ_max)
+    * keep PPRviz's own index: DPR, plus GBP aggregates for Tau-Push only.
     */
   final case class VariantIndex(
       variant: Variant,
@@ -52,10 +53,7 @@ object Variants {
     * is exactly why they exceed the response deadline on large graphs
     * (Table 8).
     */
-  def buildIndex(variant: Variant, hier: Hierarchy, k: Int,
-                 alpha: Double = PPRviz.DefaultAlpha,
-                 eps: Double = PPRviz.DefaultEps,
-                 seed: Long = 99): VariantIndex = {
+  def buildIndex(variant: Variant, hier: Hierarchy, k: Int, seed: Long = 99): VariantIndex = {
     val g   = hier.g
     val del = PPRviz.delta(k)
     val pf  = 1.0 / g.n
@@ -75,7 +73,7 @@ object Variants {
     variant match {
       case PiVar =>
         engine(hier.sizeBytes, 0.0)((q, deadline, _) =>
-          Dppr.perLeafMatrix(g, q, alpha, 1e-9, deadline))
+          Dppr.perLeafMatrix(g, q, alpha, deadline))
       case ResAccVar =>
         engine(hier.sizeBytes, 0.0)(fora(null, Fora.ResAccRmaxFactor))
       case ForaVar | ForaPlusVar | GfraVar =>
@@ -86,10 +84,10 @@ object Variants {
             (q, deadline, qseed) => Gfra.run(g, q, alpha, eps, del, pf, qseed, deadline, wi)
           else fora(wi, 1.0))
       case TauPushVar =>
-        val ix = PPRviz.buildIndex(g, hier, k, alpha, eps, 0.0)
+        val ix = PPRviz.buildIndex(hier, k, 0.0)
         VariantIndex(variant, hier, ix.sizeBytes, ix.dprSeconds + ix.gbpSeconds,
           (level, id, deadline, _) =>
-            PPRviz.queryPDist(g, ix, level, id, k, alpha, eps, deadline).dppr)
+            PPRviz.queryPDist(g, ix, level, id, k, deadline).dppr)
       case GfpTauMaxVar =>
         // PPRviz's index without GBP entries; this mode picks no GBP targets.
         val (dpr, t) = PPRviz.timeSec(Dpr.vector(g, alpha))
@@ -99,14 +97,14 @@ object Variants {
     }
   }
 
-  /** One visualization under a variant: DPPR → PDist → stress majorization.
-    * Returns None when the deadline is exceeded (a "-" entry in Table 8).
+  /** One visualization under a variant, seed 7: DPPR → PDist → stress
+    * majorization. None when the deadline is exceeded ("-" in Table 8).
     */
-  def visualize(vi: VariantIndex, level: Int, id: Int, deadline: Deadline,
-                seed: Long = 7): Option[Array[Array[Double]]] =
+  def visualize(vi: VariantIndex, level: Int, id: Int,
+                deadline: Deadline): Option[Array[Array[Double]]] =
     try {
-      val pdist = PDist.matrix(vi.dppr(level, id, deadline, seed), vi.hier.g.n)
-      Some(StressMajorization.layout(pdist, seed))
+      val pdist = PDist.matrix(vi.dppr(level, id, deadline, 7), vi.hier.g.n)
+      Some(StressMajorization.layout(pdist, 7))
     } catch {
       case _: Deadline.Exceeded => None
     }

@@ -188,7 +188,7 @@ class PinnedOutputsSpec extends AnyFunSuite {
   }
 
   test("the PPRviz quality layout on TwEgo and the DPR vector on Wiki-ii are pinned") {
-    pin("QualityTables.pprvizLayout", bits(QualityTables.pprvizLayout(GraphGen.twEgo, alpha, 7)), 0xb083b62fa9a2323fL)
+    pin("QualityTables.pprvizLayout", bits(QualityTables.pprvizLayout(GraphGen.twEgo)), 0xb083b62fa9a2323fL)
     pin("Dpr.vector", bits(dpr), 0xe71905ce8c64093bL)
   }
 

@@ -9,7 +9,7 @@ class PowerIterationSpec extends AnyFunSuite {
   private lazy val g = GraphGen.twEgo
 
   test("itersFor bounds the geometric tail") {
-    val t = PowerIteration.itersFor(alpha, 1e-9)
+    val t = PowerIteration.itersFor(alpha)
     assert(math.pow(1 - alpha, t) < 1e-9)
   }
 
@@ -82,8 +82,7 @@ class PowerIterationSpec extends AnyFunSuite {
     val big = GraphGen.powerLaw(5000, 4, seed = 1)
     intercept[Deadline.Exceeded] {
       val expired = new Deadline(System.nanoTime() - 1)
-      PowerIteration.pprFromDistribution(big, Array.fill(big.n)(1.0 / big.n), alpha,
-        1e-9, expired)
+      PowerIteration.pprFromDistribution(big, Array.fill(big.n)(1.0 / big.n), alpha, expired)
     }
   }
 }

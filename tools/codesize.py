@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Print two size figures of the main code (`src/main` and `jobs`).
+"""Print three size figures of the main code (`src/main` and `jobs`).
 
-    main_loc       lines of every file there, as `wc -l` counts them;
-    public_params  parameters of the non-private `def`s declared directly in
-                   class, object and trait bodies, plus the parameters of
-                   public constructors of non-private classes.
+    main_loc          lines of every file there, as `wc -l` counts them;
+    public_params     parameters of the non-private `def`s declared directly
+                      in class, object and trait bodies, plus the parameters
+                      of public constructors of non-private classes;
+    defaulted_params  those of the public parameters that carry a default
+                      value: the settings a caller may leave unset.
 
 `public_params` comes from a brace-depth scan, not a parser: comments and
 string literals are blanked, each `{` is marked as a template body when a
@@ -12,6 +14,7 @@ string literals are blanked, each `{` is marked as a template body when a
 innermost open brace is a template body. `private` and `private[pkg]`
 members count as private; `protected` ones count as public. Implicit
 parameter lists count like the others; type parameter lists `[...]` do not.
+A parameter has a default when its item holds a lone `=` outside any bracket.
 
 Usage: python3 tools/codesize.py [repository root]   (default: this checkout)
 """
@@ -89,8 +92,9 @@ def skip_brackets(s, i):
 
 
 def param_lists(s, i):
-    """Count the parameters of the `(...)` lists starting at or after s[i]."""
-    count = 0
+    """(parameters, parameters with a default) of the `(...)` lists starting
+    at or after s[i]."""
+    count = defaulted = 0
     while True:
         while i < len(s) and s[i] in " \t":
             i += 1
@@ -98,10 +102,10 @@ def param_lists(s, i):
         while i < len(s) and s[i] in " \t\n":
             i += 1
         if i >= len(s) or s[i] != "(":
-            return count
+            return count, defaulted
         # A parameter is a top-level comma-separated item with text in it,
         # so a trailing comma adds none.
-        depth, j, items, text = 0, i, 0, False
+        depth, j, items, text, default = 0, i, 0, False, False
         while j < len(s):
             ch = s[j]
             if ch in "([{":
@@ -112,11 +116,15 @@ def param_lists(s, i):
                     break
             elif ch == "," and depth == 1:
                 items += text
-                text = False
-            elif not ch.isspace():
-                text = True
+                defaulted += default
+                text = default = False
+            else:
+                if ch == "=" and depth == 1 and s[j - 1] not in "=<>!:" and s[j + 1] not in "=>":
+                    default = True
+                text = text or not ch.isspace()
             j += 1
         count += items + text
+        defaulted += default
         i = j + 1
 
 
@@ -133,7 +141,8 @@ def statement_prefix(s, i):
 
 
 def public_params(root):
-    total = 0
+    """(public_params, defaulted_params)."""
+    total = defaulted = 0
     for path in files(root):
         if not path.endswith(".scala"):
             continue
@@ -165,20 +174,26 @@ def public_params(root):
                             j = skip_brackets(s, name.end())
                             head = s[j:j + 40].lstrip(" \t")
                             if not head.startswith("private"):
-                                total += param_lists(s, j)
+                                n, d = param_lists(s, j)
+                                total += n
+                                defaulted += d
                 elif parens == 0 and word in ("def", "val", "var", "type"):
                     pending = False
                     if word == "def" and stack and stack[-1] == "template" \
                             and "private" not in statement_prefix(s, i):
                         name = WORD.match(s, i + 4) or re.compile(r"\S+").match(s, i + 4)
-                        total += param_lists(s, name.end())
+                        n, d = param_lists(s, name.end())
+                        total += n
+                        defaulted += d
                 i += len(word)
                 continue
             i += 1
-    return total
+    return total, defaulted
 
 
 if __name__ == "__main__":
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     print(f"main_loc {main_loc(root)}")
-    print(f"public_params {public_params(root)}")
+    params, defaulted = public_params(root)
+    print(f"public_params {params}")
+    print(f"defaulted_params {defaulted}")
