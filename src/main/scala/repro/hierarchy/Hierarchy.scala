@@ -59,26 +59,36 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     out
   }
 
-  /** Leaf sets per level: leafSets(ℓ)(id) = leaves whose level-ℓ ancestor is id. */
-  lazy val leafSets: Array[Array[Array[Int]]] =
-    Array.tabulate(nLevels + 1)(l => Hierarchy.group(anc(l), levelSize(l)))
-
-  /** avgdeg (Eq. 6) of every supernode, per level, from its leaf set in
-    * [[leafSets]] order: the values a query scanning its children's leaves
-    * would compute, built once.
+  /** supernodeLeaves(ℓ−1)(id) = the leaves whose level-ℓ ancestor is id,
+    * ascending, for ℓ in 1..nLevels.
     */
-  lazy val supernodeAvgDeg: Array[Array[Double]] =
-    perSupernode(SuperQuery.avgDegree(_, g.outDeg))
+  private lazy val supernodeLeaves: Array[Array[Array[Int]]] =
+    Array.tabulate(nLevels)(l => Hierarchy.group(anc(l + 1), levelSize(l + 1)))
 
-  /** τ (Eq. 4, [[Dpr.ofSupernode]]) of every supernode, per level, for a
-    * leaf DPR vector, from its leaf set in [[leafSets]] order. Built on the
-    * first request for a vector and kept, by identity and weakly, while the
-    * vector lives: an index builds it once and its queries read it.
+  /** The leaves whose level-ℓ ancestor is `id`, ascending, for ℓ in
+    * 0..nLevels. At level 0 that is the leaf alone, made on each call: no
+    * table of n one-leaf sets is kept.
+    */
+  def leafSet(level: Int, id: Int): Array[Int] =
+    if (level == 0) Array(id) else supernodeLeaves(level - 1)(id)
+
+  /** avgdeg (Eq. 6) of every node, per level, from its leaf set in
+    * [[leafSet]] order: the values a query scanning its children's leaves
+    * would compute, built once. Level 0 is the graph's out-degree array.
+    */
+  private lazy val supernodeAvgDeg: Array[Array[Double]] =
+    perSupernode(g.outDegD, SuperQuery.avgDegree(_, g.outDeg))
+
+  /** τ (Eq. 4, [[Dpr.ofSupernode]]) of every node, per level, for a leaf
+    * DPR vector, from its leaf set in [[leafSet]] order; level 0 is
+    * `leafDpr` itself. Built on the first request for a vector and kept, by
+    * identity and weakly, while the vector lives: an index builds it once
+    * and its queries read it.
     */
   def supernodeDpr(leafDpr: Array[Double]): Array[Array[Double]] = dprTables.synchronized {
     var t = dprTables.get(leafDpr)
     if (t == null) {
-      t = perSupernode(Dpr.ofSupernode(leafDpr, _))
+      t = perSupernode(leafDpr, Dpr.ofSupernode(leafDpr, _))
       dprTables.put(leafDpr, t)
     }
     t
@@ -88,9 +98,11 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
   @transient private lazy val dprTables =
     new java.util.WeakHashMap[Array[Double], Array[Array[Double]]]()
 
-  /** f(leaf set) of every supernode, per level. */
-  private def perSupernode(f: Array[Int] => Double): Array[Array[Double]] =
-    leafSets.map { sets =>
+  /** f(leaf set) of every node, per level, with `leaves` as level 0: the
+    * mean over a one-leaf set is that leaf's value, bit for bit.
+    */
+  private def perSupernode(leaves: Array[Double], f: Array[Int] => Double): Array[Array[Double]] =
+    leaves +: supernodeLeaves.map { sets =>
       val out = new Array[Double](sets.length)
       var id = 0
       while (id < sets.length) { out(id) = f(sets(id)); id += 1 }
@@ -132,7 +144,7 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
     */
   private[repro] def query(level: Int, id: Int, ids: Array[Int]): SuperQuery = {
     val l = level - 1
-    new SuperQuery(g.n, ids.map(leafSets(l)(_)), anc(level), id, slot(l),
+    new SuperQuery(g.n, ids.map(leafSet(l, _)), anc(level), id, slot(l),
       Hierarchy.gather(supernodeAvgDeg(l), ids),
       leafDpr => Hierarchy.gather(supernodeDpr(leafDpr)(l), ids))
   }
@@ -196,24 +208,35 @@ object Hierarchy {
     out
   }
 
+  /** Louvain+'s precondition: at most k children per supernode, k >= 2. */
+  def requireK(k: Int): Unit =
+    require(k >= 2, s"Louvain+ needs k >= 2 children per supernode, got k=$k")
+
   /** Louvain+ construction: repeat constrained Louvain passes (falling back
     * to force-merging when a pass stalls) until the coarsest supergraph has
-    * ≤ k supernodes.
+    * ≤ k supernodes. As each level ℓ is made, `onLevel` receives the
+    * hierarchy of levels 1..ℓ, whose levels ≤ ℓ are those of the finished
+    * one; the last it receives is the one returned.
     */
-  def build(g: LocalGraph, k: Int): Hierarchy = {
-    require(k >= 2, s"Louvain+ needs k >= 2 children per supernode, got k=$k")
+  def build(g: LocalGraph, k: Int, onLevel: Hierarchy => Unit): Hierarchy = {
+    requireK(k)
     var wg      = WGraph.fromLocal(g)
     val parents = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+    var built   = new Hierarchy(g, Array.empty)
     var guard   = 0
     while (wg.n > k && guard < 64) {
       var assign = Louvain.pass(wg, k)
       val nC     = assign.max + 1
       if (nC == wg.n) assign = Louvain.forceMerge(wg, k)
       parents += assign
+      built = new Hierarchy(g, parents.toArray)
+      onLevel(built)
       wg = Louvain.aggregate(wg, assign)
       guard += 1
     }
     require(wg.n <= k, s"Louvain+ failed to coarsen below k=$k (stuck at ${wg.n})")
-    new Hierarchy(g, parents.toArray)
+    built
   }
+
+  def build(g: LocalGraph, k: Int): Hierarchy = build(g, k, _ => ())
 }

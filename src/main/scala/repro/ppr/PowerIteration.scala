@@ -24,12 +24,14 @@ object PowerIteration {
   def pprFromDistribution(g: LocalGraph, s: Array[Double], alpha: Double,
                           deadline: Deadline = Deadline.none): Array[Double] = {
     val n = g.n
-    var p = s.clone()
+    // Two buffers, swapped each iteration: `next` is cleared, not reallocated.
+    var p    = s.clone()
+    var next = new Array[Double](n)
     val iters = itersFor(alpha)
     var it = 0
     while (it < iters) {
       deadline.check()
-      val next = new Array[Double](n)
+      java.util.Arrays.fill(next, 0.0)
       var v = 0
       while (v < n) {
         val pv = p(v)
@@ -43,7 +45,7 @@ object PowerIteration {
       while (i < n) { next(i) += alpha * s(i); i += 1 }
       // The recurrence yields p_t = α Σ_{i<=t} (1-α)^i (Pᵀ)^i s exactly, but
       // the loop above computes (1-α)Pᵀp_t + αs, i.e. the same series.
-      p = next
+      val t = p; p = next; next = t
       it += 1
     }
     p

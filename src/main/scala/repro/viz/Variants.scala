@@ -84,7 +84,7 @@ object Variants {
             (q, deadline, qseed) => Gfra.run(g, q, alpha, eps, del, pf, qseed, deadline, wi)
           else fora(wi, 1.0))
       case TauPushVar =>
-        val ix = PPRviz.buildIndex(hier, k, 0.0)
+        val ix = PPRviz.buildIndex(hier, k)
         VariantIndex(variant, hier, ix.sizeBytes, ix.dprSeconds + ix.gbpSeconds,
           (level, id, deadline, _) =>
             PPRviz.queryPDist(g, ix, level, id, k, deadline).dppr)

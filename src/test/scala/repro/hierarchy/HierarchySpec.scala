@@ -26,7 +26,7 @@ class HierarchySpec extends AnyFunSuite {
 
   test("leaf sets at each level partition V") {
     (0 to hier.nLevels).foreach { level =>
-      val sets = hier.leafSets(level)
+      val sets = (0 until hier.levelSize(level)).map(hier.leafSet(level, _))
       val all  = sets.flatten.sorted
       assert(all.toSeq == (0 until g.n))
     }
@@ -90,7 +90,7 @@ class HierarchySpec extends AnyFunSuite {
   test("query children leaf sets union to the supernode's leaf set") {
     val id = 0
     val q  = PPRviz.queryWithIds(hier, 1, id)._1
-    assert(q.children.flatten.sorted.toSeq == hier.leafSets(1)(id).sorted.toSeq)
+    assert(q.children.flatten.sorted.toSeq == hier.leafSet(1, id).sorted.toSeq)
   }
 
   test("rootQuery covers all leaves") {

@@ -41,4 +41,41 @@ class ParSpec extends AnyFunSuite {
     assert(!outer.isAlive, "nested forEach did not finish")
     (0 until 64).foreach(i => assert(seen.get(i) == 1, s"index $i"))
   }
+
+  test("fork returns its body's value to every waiting thread, and rethrows its throwable as it is") {
+    val value = Par.fork { Thread.sleep(20); 42 }
+    val other = Par.fork(value() + 1)
+    assert(value() == 42 && other() == 43)
+    val boom  = new Deadline.Exceeded
+    val fails = Par.fork[Int](throw boom)
+    assert(intercept[Deadline.Exceeded](fails()) eq boom)
+  }
+
+  test("a group runs every body once, also bodies that bodies fork, before join returns") {
+    val seen  = new AtomicIntegerArray(64)
+    val group = new Par.Group
+    (0 until 8).foreach { i =>
+      group.fork {
+        Thread.sleep(5)
+        (0 until 8).foreach(j => group.fork(seen.incrementAndGet(8 * i + j)))
+      }
+    }
+    group.join()
+    (0 until 64).foreach(i => assert(seen.get(i) == 1, s"index $i"))
+  }
+
+  test("a throwing group body reaches join as it is, after every other body") {
+    val boom  = new Deadline.Exceeded
+    val done  = new AtomicInteger(0)
+    val group = new Par.Group
+    (0 until 12).foreach { i =>
+      group.fork {
+        if (i == 3) throw boom
+        Thread.sleep(20)
+        done.incrementAndGet()
+      }
+    }
+    assert(intercept[Deadline.Exceeded](group.join()) eq boom)
+    assert(done.get() == 11)
+  }
 }

@@ -26,7 +26,7 @@ class PPRvizSpec extends AnyFunSuite {
   test("index stores GBP results exactly for supernodes above the DPR threshold") {
     val hier = index.hier
     (0 to hier.nLevels).foreach { level =>
-      val sets = hier.leafSets(level)
+      val sets = (0 until hier.levelSize(level)).map(hier.leafSet(level, _))
       sets.indices.foreach { id =>
         val parentK = hier.childrenOf(level + 1, hier.anc(level + 1)(sets(id)(0))).length
         val tau  = 1.0 / math.sqrt(parentK.toDouble * g.n)
@@ -112,7 +112,7 @@ class PPRvizSpec extends AnyFunSuite {
   test("stored GBP aggregates equal a live GBP run against the parent query") {
     assert(index.gbpAgg.nonEmpty, "expected at least one high-DPR supernode")
     index.gbpAgg.foreach { case ((level, id), stored) =>
-      val parent   = index.hier.anc(level + 1)(index.hier.leafSets(level)(id)(0))
+      val parent   = index.hier.anc(level + 1)(index.hier.leafSet(level, id)(0))
       val (q, ids) = PPRviz.queryWithIds(index.hier, level + 1, parent)
       val j = ids.indexOf(id)
       assert(j >= 0, s"($level,$id) not among its parent's children")

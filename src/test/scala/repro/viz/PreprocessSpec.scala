@@ -15,8 +15,10 @@ class PreprocessSpec extends AnyFunSuite {
   private def bits(xs: Array[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToLongBits).toSeq
 
   private def assertSameIndex(g: LocalGraph, k: Int): PprVizIndex = {
-    val ix  = PPRviz.preprocess(g, k)
-    val ref = PPRviz.buildIndex(Hierarchy.build(g, k), k, 0.0)
+    val (ix, wall) = PPRviz.timeSec(PPRviz.preprocess(g, k))
+    // Louvain+'s time and the tail after it are disjoint spans of the call.
+    assert(ix.hierSeconds + ix.gbpSeconds <= wall)
+    val ref = PPRviz.buildIndex(Hierarchy.build(g, k), k)
     assert(ix.hier.parents.map(_.toSeq).toSeq == ref.hier.parents.map(_.toSeq).toSeq)
     assert(bits(ix.leafDpr) == bits(ref.leafDpr))
     assert(ix.gbpAgg.keySet == ref.gbpAgg.keySet)

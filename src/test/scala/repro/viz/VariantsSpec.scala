@@ -62,7 +62,7 @@ class VariantsSpec extends AnyFunSuite {
 
   test("Tau-Push index holds DPR and GBP credits") {
     val vi = indices(Variants.TauPushVar)
-    val ix = PPRviz.buildIndex(hier, k, 0.0)
+    val ix = PPRviz.buildIndex(hier, k)
     assert(vi.bytes == ix.sizeBytes)
     assert(vi.bytes >= hier.sizeBytes + 8L * g.n)
   }
