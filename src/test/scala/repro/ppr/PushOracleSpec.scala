@@ -2,6 +2,7 @@ package repro.ppr
 
 import java.lang.Double.doubleToLongBits
 import java.util.Random
+import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable.ArrayBuffer
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, LocalGraph}
@@ -49,9 +50,13 @@ class PushOracleSpec extends AnyFunSuite {
 
   private def sameAsReference(name: String, dir: Dir, g: LocalGraph, seeds: Array[Int],
                               seedResidue: Array[Double], rmax: Double): Run = {
-    val got  = viaPush(dir, g, seeds, seedResidue, rmax)
-    val ref  = viaReference(dir, g, seeds, seedResidue, rmax)
-    val what = s"$name, $dir, ${seeds.length} seeds, rmax $rmax"
+    val got = viaPush(dir, g, seeds, seedResidue, rmax)
+    assertSame(s"$name, $dir, ${seeds.length} seeds, rmax $rmax", got,
+      viaReference(dir, g, seeds, seedResidue, rmax))
+    got
+  }
+
+  private def assertSame(what: String, got: Run, ref: Run): Unit = {
     assert(got.pushes == ref.pushes, s"$what: ${got.pushes} pushes, reference ${ref.pushes}")
     assert(got.credits == ref.credits, s"$what: credit calls differ from the reference")
     assert(got.est.map(doubleToLongBits).sameElements(ref.est.map(doubleToLongBits)),
@@ -60,7 +65,6 @@ class PushOracleSpec extends AnyFunSuite {
       s"$what: residues differ")
     assert(doubleToLongBits(got.rsum) == doubleToLongBits(ref.rsum),
       s"$what: rsum ${got.rsum}, reference ${ref.rsum}")
-    got
   }
 
   /** Every node with id divisible by 5 loses its out-arcs, so it becomes
@@ -127,6 +131,70 @@ class PushOracleSpec extends AnyFunSuite {
     val seeds = Array(7, 7, 7, 9)
     sameAsReference("powerLaw(3000, 3)", Fwd, g, seeds, Array(30.0, 1.0, 2.0, 40.0), 0.5)
     sameAsReference("powerLaw(3000, 3)", Bwd, g, seeds, Array(0.3, 0.1, 0.2, 0.4), 1e-3)
+  }
+
+  test("a repeated seed whose self-loop refills it pops above the threshold once per copy") {
+    // On the dangling graph, node 10 has only a self-loop: each push of it
+    // hands 0.8 of its residue back to it. With seeds (10, w, 10) the
+    // reference pops 10, w, 10, 10 and then w's neighbours, pushing 10 each
+    // time; a kernel that queued the repeated seed once would pop 10, w, 10
+    // and then w's neighbours.
+    val (name, g) = graphs(2)
+    assert(g.outDeg(10) == 1 && g.outNeighbors(10) == Seq(10))
+    val w = (1 until g.n).find(v => v % 5 != 0 && g.outNeighbors(v).forall(_ != 10)).get
+    val seeds = Array(10, w, 10)
+    sameAsReference(name, Fwd, g, seeds, Array(3.0, 1.0, 2.0), 1e-3)
+    sameAsReference(name, Bwd, g, seeds, Array(0.3, 0.2, 0.1), 1e-3)
+  }
+
+  /** 64 calls on one graph, forward and backward, seed sets and thresholds
+    * mixed, run through `Par.forEach`; each must equal its reference.
+    */
+  private def parallelCallsMatch(what: String, g: LocalGraph): Unit = {
+    val calls = (0 until 64).map { i =>
+      val dir   = if (i % 2 == 0) Fwd else Bwd
+      val seeds = seedSets(g, 400L + i / 8)(i / 2 % 4)
+      val rmax  = if (dir == Fwd) Seq(0.5, 1e-2, 1e-4)(i % 3) else Seq(1e-2, 1e-4, 1e-5)(i % 3)
+      (dir, seeds, rmax)
+    }
+    val refs = calls.map { case (dir, seeds, rmax) =>
+      viaReference(dir, g, seeds, residues(dir, g, seeds), rmax)
+    }
+    val got = new Array[Run](calls.length)
+    Par.forEach(calls.length) { i =>
+      val (dir, seeds, rmax) = calls(i)
+      got(i) = viaPush(dir, g, seeds, residues(dir, g, seeds), rmax)
+    }
+    calls.indices.foreach { i =>
+      val (dir, seeds, rmax) = calls(i)
+      assertSame(s"$what, call $i, $dir, ${seeds.length} seeds, rmax $rmax", got(i), refs(i))
+    }
+  }
+
+  test("64 forward and backward calls on one graph across pool threads match the reference") {
+    for ((name, g) <- graphs) parallelCallsMatch(s"$name in parallel", g)
+  }
+
+  test("a sink abort on a pool thread leaves the parallel calls after it exact") {
+    val (name, g) = graphs(1)
+    val seeds  = seedSets(g, 300L)(2)
+    val caller = Thread.currentThread()
+    for (dir <- Seq(Fwd, Bwd)) {
+      // Pool threads abort mid-push; the caller only waits, so helpers claim
+      // indices.
+      val aborted = new AtomicInteger(0)
+      intercept[Deadline.Exceeded] {
+        Par.forEach(12) { _ =>
+          if (Thread.currentThread() eq caller) Thread.sleep(20)
+          else {
+            aborted.incrementAndGet()
+            viaPush(dir, g, seeds, residues(dir, g, seeds), 1e-7, stopAfter = 5000)
+          }
+        }
+      }
+      assert(aborted.get > 0, "no call ran on a pool thread")
+      parallelCallsMatch(s"$name after a $dir abort on a pool thread", g)
+    }
   }
 
   test("a push aborted mid-run leaves the next call on the same thread exact") {
