@@ -147,6 +147,17 @@ class PushOracleSpec extends AnyFunSuite {
     sameAsReference(name, Bwd, g, seeds, Array(0.3, 0.2, 0.1), 1e-3)
   }
 
+  test("a repeated seed that gains residue before its first pop is queued no extra time") {
+    // Arcs 1→0, 2→0, 0→1, 2→1, so in(0) = (1, 2) and in(1) = (0, 2). With
+    // seeds (0, 2, 2) node 2 is queued twice when the pop of 0 pushes to it
+    // in either direction; a kernel that lost track of it there would queue a
+    // third copy and later pop it ahead of the reference's order.
+    val g = LocalGraph.fromArcs(3, Seq((1, 0), (2, 0), (0, 1), (2, 1)))
+    val seeds = Array(0, 2, 2)
+    for (dir <- Seq(Fwd, Bwd); rmax <- Seq(1e-2, 1e-3))
+      sameAsReference("three nodes", dir, g, seeds, residues(dir, g, seeds), rmax)
+  }
+
   /** 64 calls on one graph, forward and backward, seed sets and thresholds
     * mixed, run through `Par.forEach`; each must equal its reference.
     */
