@@ -38,6 +38,24 @@ final class LocalGraph private[graph] (
     d
   }
 
+  /** Spare copies of `outDegD` for the push kernels, which mark queued
+    * nodes in a copy and hand it back equal to `outDegD` bit for bit. A
+    * shared free list, not one copy per thread: common-pool workers lose
+    * their thread-locals after every task.
+    */
+  @transient private lazy val spareDegrees = new java.util.concurrent.ConcurrentLinkedDeque[Array[Double]]()
+
+  /** A copy of `outDegD` that no other caller holds: a spare one, or a new
+    * clone when none is spare.
+    */
+  private[repro] def borrowDegrees(): Array[Double] = {
+    val d = spareDegrees.poll()
+    if (d != null) d else outDegD.clone()
+  }
+
+  /** Hands back a copy from [[borrowDegrees]]; it must equal `outDegD` again. */
+  private[repro] def returnDegrees(d: Array[Double]): Unit = spareDegrees.push(d)
+
   /** Iterate the out-neighbours of `v` without allocating. */
   @inline def foreachOut(v: Int)(f: Int => Unit): Unit = {
     var i = outOff(v); val end = outOff(v + 1)

@@ -37,10 +37,14 @@ final case class PushResult(
   * The queue is a ring of unboxed ints, the edge loop reads the CSR arrays
   * directly and makes no call, and thresholds and shares read
   * `LocalGraph.outDegD` (int → double is exact, so every product and quotient
-  * keeps its bits). Each call allocates its own zeroed `residue` and
-  * `inQueue`: a per-thread reused workspace measured slower on fork-join
-  * helpers, and a touched-list reset cost more than the zeroing saved
-  * (DESIGN.md, layering note).
+  * keeps its bits). Queue membership lives in a copy of the out-degrees
+  * borrowed from the graph (`LocalGraph.borrowDegrees`): a queued node's
+  * entry holds +∞ (forward) or −d(u) (backward) until it is popped, so one
+  * load per edge gives both the threshold and the flag. A call that
+  * completes has popped every queued node and hands the copy back equal to
+  * `outDegD`; a call that throws drops it. Each call allocates its own
+  * zeroed `residue`, which FORA and GFRA read after it (DESIGN.md, layering
+  * note).
   */
 object Push {
 
@@ -51,9 +55,11 @@ object Push {
   def forward(g: LocalGraph, seeds: Array[Int], seedResidue: Array[Double],
               alpha: Double, rmax: Double, deadline: Deadline,
               est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
+    require(rmax > 0, s"forward push needs rmax > 0, got $rmax")
     val residue = seeded(g.n, seeds, seedResidue)
-    val inQueue = new Array[Boolean](g.n)
     val deg     = g.outDegD
+    // deg, except +∞ at a queued node: then ru > dq(u)·rmax is never true.
+    val dq      = g.borrowDegrees()
     val off     = g.outOff
     val adj     = g.outAdj
     // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
@@ -65,7 +71,8 @@ object Push {
     var i = 0
     while (i < seeds.length) {
       val v = seeds(i)
-      if (residue(v) > deg(v) * rmax) { ring(tail) = v; tail += 1; inQueue(v) = true }
+      // deg, not dq: a repeated seed enters once per copy.
+      if (residue(v) > deg(v) * rmax) { ring(tail) = v; tail += 1; dq(v) = Double.PositiveInfinity }
       i += 1
     }
     var pushes = 0L
@@ -73,9 +80,10 @@ object Push {
     while (head != tail) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = ring(head & (ring.length - 1)); head += 1; inQueue(vk) = false
-      val r  = residue(vk)
+      val vk = ring(head & (ring.length - 1)); head += 1
       val dv = deg(vk)
+      dq(vk) = dv
+      val r  = residue(vk)
       if (r > dv * rmax) {
         credit(vk, r)
         val share = (1.0 - alpha) * r / dv
@@ -91,14 +99,15 @@ object Push {
           val u  = adj(e)
           val ru = residue(u) + share
           residue(u) = ru
-          // Rarely true, so one non-short-circuit test predicts well.
-          if ((ru > deg(u) * rmax) & !inQueue(u)) {
-            ring(tail & mask) = u; tail += 1; inQueue(u) = true
+          // Rarely true, so it predicts well.
+          if (ru > dq(u) * rmax) {
+            ring(tail & mask) = u; tail += 1; dq(u) = Double.PositiveInfinity
           }
           e += 1
         }
       }
     }
+    g.returnDegrees(dq)
     PushResult(est, residue, pushes)
   }
 
@@ -109,9 +118,12 @@ object Push {
   def backward(g: LocalGraph, seeds: Array[Int], seedResidue: Array[Double],
                alpha: Double, rbmax: Double, deadline: Deadline,
                est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
+    require(rbmax > 0, s"backward push needs rbmax > 0, got $rbmax")
     val residue = seeded(g.n, seeds, seedResidue)
-    val inQueue = new Array[Boolean](g.n)
     val deg     = g.outDegD
+    // deg, except −d(u) at a queued node: out-degrees are ≥ 1, so the sign
+    // is the flag and |dq(u)| the degree.
+    val dq      = g.borrowDegrees()
     val off     = g.inOff
     val adj     = g.inAdj
     // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
@@ -123,7 +135,7 @@ object Push {
     var i = 0
     while (i < seeds.length) {
       val v = seeds(i)
-      if (residue(v) > rbmax) { ring(tail) = v; tail += 1; inQueue(v) = true }
+      if (residue(v) > rbmax) { ring(tail) = v; tail += 1; dq(v) = -deg(v) }
       i += 1
     }
     var pushes = 0L
@@ -131,7 +143,8 @@ object Push {
     while (head != tail) {
       if ((pops & 0x3ff) == 0) deadline.check()
       pops += 1
-      val vk = ring(head & (ring.length - 1)); head += 1; inQueue(vk) = false
+      val vk = ring(head & (ring.length - 1)); head += 1
+      dq(vk) = deg(vk)
       val r  = residue(vk)
       if (r > rbmax) {
         credit(vk, r)
@@ -146,15 +159,18 @@ object Push {
         val mask = ring.length - 1
         while (e < end) {
           val u  = adj(e)
-          val ru = residue(u) + spread / deg(u)
+          val du = dq(u)
+          val ru = residue(u) + spread / Math.abs(du)
           residue(u) = ru
-          if ((ru > rbmax) & !inQueue(u)) {
-            ring(tail & mask) = u; tail += 1; inQueue(u) = true
+          // Rarely true, so one non-short-circuit test predicts well.
+          if ((ru > rbmax) & (du > 0.0)) {
+            ring(tail & mask) = u; tail += 1; dq(u) = -du
           }
           e += 1
         }
       }
     }
+    g.returnDegrees(dq)
     PushResult(est, residue, pushes)
   }
 

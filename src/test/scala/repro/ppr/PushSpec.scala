@@ -116,6 +116,21 @@ class PushSpec extends AnyFunSuite {
     }
   }
 
+  test("a threshold that is negative, NaN or zero fails before any push, naming the value") {
+    // Without the check a negative threshold never ends in either kernel, NaN
+    // returns with no push, and zero runs the forward kernel on and on; the
+    // deadline stops a kernel that would otherwise not return.
+    val graph = GraphGen.powerLaw(2000, 3, seed = 7)
+    for (bad <- Seq(-1e-3, Double.NaN, 0.0)) {
+      val f = intercept[IllegalArgumentException] {
+        ForwardPush.dppr(graph, 0, alpha, bad, Deadline.in(0.5))
+      }
+      assert(f.getMessage.contains(s"rmax > 0, got $bad"), f.getMessage)
+      val b = intercept[IllegalArgumentException](toTarget(graph, 0, bad, Deadline.in(0.5)))
+      assert(b.getMessage.contains(s"rbmax > 0, got $bad"), b.getMessage)
+    }
+  }
+
   test("Fig. 4 running example: first pushes from v0 spread 0.9 per neighbour") {
     // Graph of Fig. 4: v0 -> v1,v2,v3; v1 -> v4; v2 -> v5,v7; v3 -> v6;
     // (plus arcs making it deterministic). α = 0.1, initial r(v0)=d(v0)=3.
