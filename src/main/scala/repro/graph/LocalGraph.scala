@@ -1,5 +1,8 @@
 package repro.graph
 
+import java.util.concurrent.{ConcurrentLinkedDeque, ForkJoinWorkerThread}
+import java.util.concurrent.atomic.AtomicReferenceArray
+
 /** Immutable CSR graph with both out- and in-adjacency.
   *
   * This is the substrate for the push algorithms (Forward-Push, Backward-Push,
@@ -40,21 +43,33 @@ final class LocalGraph private[graph] (
 
   /** Spare copies of `outDegD` for the push kernels, which mark queued
     * nodes in a copy and hand it back equal to `outDegD` bit for bit. A
-    * shared free list, not one copy per thread: common-pool workers lose
-    * their thread-locals after every task.
+    * thread takes and returns the copy in its own slot first (a fork-join
+    * worker's pool index; other threads share slot 0), so a copy stays in
+    * the cache of the core that last wrote it; a copy that finds its slot
+    * taken goes to a shared free list. So at most 16 copies plus one per
+    * call running at once are kept. Not a `ThreadLocal`: common-pool
+    * workers lose their thread-locals after every task.
     */
-  @transient private lazy val spareDegrees = new java.util.concurrent.ConcurrentLinkedDeque[Array[Double]]()
+  @transient private lazy val ownDegrees   = new AtomicReferenceArray[Array[Double]](16)
+  @transient private lazy val spareDegrees = new ConcurrentLinkedDeque[Array[Double]]()
 
-  /** A copy of `outDegD` that no other caller holds: a spare one, or a new
-    * clone when none is spare.
+  private def degreeSlot: Int = Thread.currentThread() match {
+    case w: ForkJoinWorkerThread => (w.getPoolIndex + 1) & 15
+    case _                       => 0
+  }
+
+  /** A copy of `outDegD` that no other caller holds: this thread's slot's,
+    * a spare one, or a new clone when none is spare.
     */
   private[repro] def borrowDegrees(): Array[Double] = {
-    val d = spareDegrees.poll()
+    var d = ownDegrees.getAndSet(degreeSlot, null)
+    if (d == null) d = spareDegrees.poll()
     if (d != null) d else outDegD.clone()
   }
 
   /** Hands back a copy from [[borrowDegrees]]; it must equal `outDegD` again. */
-  private[repro] def returnDegrees(d: Array[Double]): Unit = spareDegrees.push(d)
+  private[repro] def returnDegrees(d: Array[Double]): Unit =
+    if (!ownDegrees.compareAndSet(degreeSlot, null, d)) spareDegrees.push(d)
 
   /** Iterate the out-neighbours of `v` without allocating. */
   @inline def foreachOut(v: Int)(f: Int => Unit): Unit = {
