@@ -159,9 +159,11 @@ class PushOracleSpec extends AnyFunSuite {
   }
 
   /** 64 calls on one graph, forward and backward, seed sets and thresholds
-    * mixed, run through `Par.forEach`; each must equal its reference.
+    * mixed, run through `runAll` (by default `Par.forEach`); each must equal
+    * its reference.
     */
-  private def parallelCallsMatch(what: String, g: LocalGraph): Unit = {
+  private def parallelCallsMatch(what: String, g: LocalGraph,
+                                 runAll: Int => (Int => Unit) => Unit = Par.forEach(_)): Unit = {
     val calls = (0 until 64).map { i =>
       val dir   = if (i % 2 == 0) Fwd else Bwd
       val seeds = seedSets(g, 400L + i / 8)(i / 2 % 4)
@@ -172,7 +174,7 @@ class PushOracleSpec extends AnyFunSuite {
       viaReference(dir, g, seeds, residues(dir, g, seeds), rmax)
     }
     val got = new Array[Run](calls.length)
-    Par.forEach(calls.length) { i =>
+    runAll(calls.length) { i =>
       val (dir, seeds, rmax) = calls(i)
       got(i) = viaPush(dir, g, seeds, residues(dir, g, seeds), rmax)
     }
@@ -184,6 +186,23 @@ class PushOracleSpec extends AnyFunSuite {
 
   test("64 forward and backward calls on one graph across pool threads match the reference") {
     for ((name, g) <- graphs) parallelCallsMatch(s"$name in parallel", g)
+  }
+
+  /** Runs `body(i)` for every i in `0 until count` on four plain threads,
+    * which all share the graph's slot 0 of borrowed degree copies.
+    */
+  private def onPlainThreads(count: Int)(body: Int => Unit): Unit = {
+    val next = new AtomicInteger(0)
+    val threads = Seq.fill(4)(new Thread(() => {
+      var i = next.getAndIncrement()
+      while (i < count) { body(i); i = next.getAndIncrement() }
+    }))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+  }
+
+  test("64 calls on one graph across plain threads, which share a slot of copies, match the reference") {
+    for ((name, g) <- graphs) parallelCallsMatch(s"$name on plain threads", g, onPlainThreads(_))
   }
 
   test("a sink abort on a pool thread leaves the parallel calls after it exact") {
