@@ -88,8 +88,14 @@ object Deadline {
     override def fillInStackTrace(): Throwable = this
   }
   val none: Deadline = new Deadline(Long.MaxValue)
-  /** `seconds` from now; an infinite span never expires. */
-  def in(seconds: Double): Deadline =
-    if (seconds.isPosInfinity) none
-    else new Deadline(System.nanoTime() + (seconds * 1e9).toLong)
+  /** `seconds` from now. A span too long for a `Long` of nanoseconds from
+    * now, an infinite one too, never expires; a NaN span is refused.
+    */
+  def in(seconds: Double): Deadline = {
+    require(!seconds.isNaN, s"a deadline needs a span in seconds, got $seconds")
+    val now  = System.nanoTime()
+    val span = (seconds * 1e9).toLong // Long.MaxValue from 2^63 ns up
+    val end  = now + span
+    if (seconds > 0 && (span == Long.MaxValue || end < now)) none else new Deadline(end)
+  }
 }

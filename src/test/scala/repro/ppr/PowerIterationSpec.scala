@@ -85,4 +85,20 @@ class PowerIterationSpec extends AnyFunSuite {
       PowerIteration.pprFromDistribution(big, Array.fill(big.n)(1.0 / big.n), alpha, expired)
     }
   }
+
+  test("a deadline span too long for Long nanoseconds never expires") {
+    // (s·1e9).toLong + nanoTime overflowed to a past instant for these.
+    for (s <- Seq(1e10, 1e300, Double.MaxValue, Double.PositiveInfinity)) {
+      val d = Deadline.in(s)
+      assert(d.nanos == Deadline.none.nanos, s"Deadline.in($s)")
+      d.check()
+    }
+    Deadline.in(1e9).check() // 31 years: in range, not yet passed
+    intercept[Deadline.Exceeded](Deadline.in(-1.0).check())
+  }
+
+  test("a NaN deadline span is refused with a message that names it") {
+    val e = intercept[IllegalArgumentException](Deadline.in(Double.NaN))
+    assert(e.getMessage.contains("NaN"), e.getMessage)
+  }
 }
