@@ -44,22 +44,36 @@ object Gfp {
   * The per-node credit vector is *query independent* (propagation never reads
   * S), which is what makes the paper's GBP precomputation / indexing scheme
   * (§4.3) possible: [[credits]] returns the raw credit vector, and
-  * [[aggregate]] turns it into the estimates of one query, live in Tau-Push
-  * or offline for the index.
+  * [[aggregate]] turns it into the estimates of one query. [[run]] does both,
+  * live in Tau-Push or offline for the index.
   */
 object Gbp {
 
   /** Backward push from the target leaf set; `est` holds the
-    * query-independent per-node credits `Σ α·d(v)·r(v, V_j)`.
+    * query-independent per-node credits `Σ α·d(v)·r(v, V_j)`. Both length-n
+    * vectors are borrowed from the graph.
     */
   def credits(g: LocalGraph, targetLeaves: Array[Int], alpha: Double,
               rbmax: Double, deadline: Deadline = Deadline.none): PushResult = {
     val seedResidue = new Array[Double](targetLeaves.length)
     java.util.Arrays.fill(seedResidue, 1.0 / targetLeaves.length)
-    val credit = new Array[Double](g.n)
+    val credit = g.borrowResidue()
     Push.backward(g, targetLeaves, seedResidue, alpha, rbmax, deadline, credit) { (v, r) =>
       credit(v) += alpha * g.outDeg(v) * r
     }
+  }
+
+  /** Algorithm 3 end to end: the estimates π̂_d(V_i, V_j) of every source
+    * child V_i for the target child `tgtChild`, and the push count. The
+    * credit and residue vectors go back to the graph.
+    */
+  def run(g: LocalGraph, q: SuperQuery, tgtChild: Int, alpha: Double, rbmax: Double,
+          deadline: Deadline = Deadline.none): (Array[Double], Long) = {
+    val c   = credits(g, q.children(tgtChild), alpha, rbmax, deadline)
+    val agg = aggregate(q, c.est)
+    g.returnResidue(c.est)
+    g.returnResidue(c.residue)
+    (agg, c.pushes)
   }
 
   /** Aggregate a credit vector into per-source-child estimates for a query. */

@@ -42,6 +42,7 @@ object Gfra {
           if (cj >= 0) row(cj) += fp.rsum / (omega.toDouble * q.size(cj))
         }
       }
+      g.returnResidue(fp.residue)
       fps(i) = null
       i += 1
     }

@@ -102,11 +102,12 @@ object TauPush {
         val r = Gfp.run(g, q, t, alpha, rmax, deadline)
         dppr(t) = r.est
         pushesOf(t) = r.pushes
+        g.returnResidue(r.residue)
       } else {
         val j = live(t - k)
-        val c = Gbp.credits(g, q.children(j), alpha, rb, deadline)
-        refined(j) = Gbp.aggregate(q, c.est)
-        pushesOf(t) = c.pushes
+        val (est, pushes) = Gbp.run(g, q, j, alpha, rb, deadline)
+        refined(j) = est
+        pushesOf(t) = pushes
       }
     }
 

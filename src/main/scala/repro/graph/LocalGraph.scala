@@ -1,7 +1,7 @@
 package repro.graph
 
 import java.util.concurrent.{ConcurrentLinkedDeque, ForkJoinWorkerThread}
-import java.util.concurrent.atomic.AtomicReferenceArray
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReferenceArray}
 
 /** Immutable CSR graph with both out- and in-adjacency.
   *
@@ -41,35 +41,54 @@ final class LocalGraph private[graph] (
     d
   }
 
-  /** Spare copies of `outDegD` for the push kernels, which mark queued
-    * nodes in a copy and hand it back equal to `outDegD` bit for bit. A
-    * thread takes and returns the copy in its own slot first (a fork-join
-    * worker's pool index; other threads share slot 0), so a copy stays in
-    * the cache of the core that last wrote it; a copy that finds its slot
-    * taken goes to a shared free list. So at most 16 copies plus one per
-    * call running at once are kept. Not a `ThreadLocal`: common-pool
-    * workers lose their thread-locals after every task.
+  /** Copies of `outDegD` for the push kernels, which mark queued nodes in a
+    * copy and hand it back equal to `outDegD` bit for bit.
     */
-  @transient private lazy val ownDegrees   = new AtomicReferenceArray[Array[Double]](16)
-  @transient private lazy val spareDegrees = new ConcurrentLinkedDeque[Array[Double]]()
+  @transient private lazy val degreeCopies = new LocalGraph.Lender[Array[Double]]
 
-  private def degreeSlot: Int = Thread.currentThread() match {
-    case w: ForkJoinWorkerThread => (w.getPoolIndex + 1) & 15
-    case _                       => 0
-  }
+  /** Length-n residue vectors for the push kernels (and GBP's credit
+    * vector), which hand them back dirty once their caller no longer reads
+    * them.
+    */
+  @transient private lazy val residues = new LocalGraph.Lender[Array[Double]]
 
-  /** A copy of `outDegD` that no other caller holds: this thread's slot's,
-    * a spare one, or a new clone when none is spare.
+  /** The kernels' FIFO rings, handed back at whatever size they grew to. */
+  @transient private lazy val rings = new LocalGraph.Lender[Array[Int]]
+
+  /** A copy of `outDegD` that no other caller holds: a kept one or a new
+    * clone.
     */
   private[repro] def borrowDegrees(): Array[Double] = {
-    var d = ownDegrees.getAndSet(degreeSlot, null)
-    if (d == null) d = spareDegrees.poll()
+    val d = degreeCopies.lend()
     if (d != null) d else outDegD.clone()
   }
 
   /** Hands back a copy from [[borrowDegrees]]; it must equal `outDegD` again. */
-  private[repro] def returnDegrees(d: Array[Double]): Unit =
-    if (!ownDegrees.compareAndSet(degreeSlot, null, d)) spareDegrees.push(d)
+  private[repro] def returnDegrees(d: Array[Double]): Unit = degreeCopies.keep(d)
+
+  /** A length-n array of zeros that no other caller holds. A kept array is
+    * filled on the borrowing thread, so its lines are warm in that core.
+    */
+  private[repro] def borrowResidue(): Array[Double] = {
+    val r = residues.lend()
+    if (r == null) new Array[Double](n) else { java.util.Arrays.fill(r, 0.0); r }
+  }
+
+  /** Hands back an array from [[borrowResidue]] after its last read; the
+    * caller must not have passed it on.
+    */
+  private[repro] def returnResidue(r: Array[Double]): Unit = residues.keep(r)
+
+  /** A ring of at least `size` ints that no other caller holds: a kept one,
+    * whatever it holds, or a new one of `size` ints.
+    */
+  private[repro] def borrowRing(size: Int): Array[Int] = {
+    val r = rings.lend()
+    if (r != null && r.length >= size) r else new Array[Int](size)
+  }
+
+  /** Hands back a ring from [[borrowRing]], or the larger one it grew into. */
+  private[repro] def returnRing(r: Array[Int]): Unit = rings.keep(r)
 
   /** Iterate the out-neighbours of `v` without allocating. */
   @inline def foreachOut(v: Int)(f: Int => Unit): Unit = {
@@ -95,6 +114,40 @@ final class LocalGraph private[graph] (
 }
 
 object LocalGraph {
+
+  /** Arrays lent to the push kernels and kept between calls. A thread takes
+    * and returns an array in its own slot first (a fork-join worker's pool
+    * index; other threads share slot 0), so an array stays in the cache of
+    * the core that last wrote it; an array that finds its slot taken goes
+    * to a shared spare list, which keeps at most 16. Not a `ThreadLocal`:
+    * common-pool workers lose their thread-locals after every task.
+    */
+  private final class Lender[A >: Null] {
+    private val own        = new AtomicReferenceArray[A](16)
+    private val spare      = new ConcurrentLinkedDeque[A]()
+    private val spareCount = new AtomicInteger(0)
+
+    private def slot: Int = Thread.currentThread() match {
+      case w: ForkJoinWorkerThread => (w.getPoolIndex + 1) & 15
+      case _                       => 0
+    }
+
+    /** This thread's slot's array, else a spare one, else null. */
+    def lend(): A = {
+      var a = own.getAndSet(slot, null)
+      if (a == null) {
+        a = spare.poll()
+        if (a != null) spareCount.decrementAndGet()
+      }
+      a
+    }
+
+    /** Keeps `a` for a later [[lend]], or drops it when 16 spares are kept. */
+    def keep(a: A): Unit =
+      if (!own.compareAndSet(slot, null, a)) {
+        if (spareCount.incrementAndGet() <= 16) spare.push(a) else spareCount.decrementAndGet()
+      }
+  }
 
   /** Build from a directed arc list. Deduplicates; adds a self-loop to any
     * node with out-degree zero (see class doc).

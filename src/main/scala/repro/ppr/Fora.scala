@@ -42,6 +42,7 @@ object Fora {
       val add   = fp.rsum / omega
       RandomWalk.walks(g, fp, omega, alpha, walkIndex, rnd, deadline)(end => est(end) += add)
     }
+    g.returnResidue(fp.residue)
     est
   }
 }

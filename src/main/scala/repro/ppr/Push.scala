@@ -37,14 +37,19 @@ final case class PushResult(
   * The queue is a ring of unboxed ints, the edge loop reads the CSR arrays
   * directly and makes no call, and thresholds and shares read
   * `LocalGraph.outDegD` (int → double is exact, so every product and quotient
-  * keeps its bits). Queue membership lives in a copy of the out-degrees
-  * borrowed from the graph (`LocalGraph.borrowDegrees`): a queued node's
-  * entry holds +∞ (forward) or −d(u) (backward) until it is popped, so one
-  * load per edge gives both the threshold and the flag. A call that
-  * completes has popped every queued node and hands the copy back equal to
-  * `outDegD`; a call that throws drops it. Each call allocates its own
-  * zeroed `residue`, which FORA and GFRA read after it (DESIGN.md, layering
-  * note).
+  * keeps its bits). Queue membership lives in a copy of the out-degrees:
+  * a queued node's entry holds +∞ (forward) or −d(u) (backward) until it is
+  * popped, so one load per edge gives both the threshold and the flag.
+  *
+  * A call borrows its three working arrays from the graph's lenders: the
+  * degree copy (`LocalGraph.borrowDegrees`), the ring (`borrowRing`) and the
+  * length-n `residue` (`borrowResidue`, all zeros before the seeds). A call
+  * that completes has popped every queued node, so it hands the copy back
+  * equal to `outDegD`, and hands back the ring at whatever size it grew to;
+  * a call that throws drops all three. The result returns the residue: a
+  * caller hands it back with `LocalGraph.returnResidue` after its last read
+  * of it, and drops it when it keeps it or passes it on (DESIGN.md,
+  * layering note).
   */
 object Push {
 
@@ -56,16 +61,17 @@ object Push {
               alpha: Double, rmax: Double, deadline: Deadline,
               est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
     require(rmax > 0, s"forward push needs rmax > 0, got $rmax")
-    val residue = seeded(g.n, seeds, seedResidue)
+    val residue = seeded(g, seeds, seedResidue)
     val deg     = g.outDegD
     // deg, except +∞ at a queued node: then ru > dq(u)·rmax is never true.
     val dq      = g.borrowDegrees()
     val off     = g.outOff
     val adj     = g.outAdj
     // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
-    // tail only growing. A repeated seed enters once per copy, so the ring
-    // may need more than n slots.
-    var ring = new Array[Int](ringSize(seeds.length))
+    // tail only growing, in a borrowed ring of any power-of-two size. A
+    // repeated seed enters once per copy, so the ring may need more than n
+    // slots.
+    var ring = g.borrowRing(ringSize(seeds.length))
     var head = 0
     var tail = 0
     var i = 0
@@ -108,6 +114,7 @@ object Push {
       }
     }
     g.returnDegrees(dq)
+    g.returnRing(ring)
     PushResult(est, residue, pushes)
   }
 
@@ -119,7 +126,7 @@ object Push {
                alpha: Double, rbmax: Double, deadline: Deadline,
                est: Array[Double])(credit: (Int, Double) => Unit): PushResult = {
     require(rbmax > 0, s"backward push needs rbmax > 0, got $rbmax")
-    val residue = seeded(g.n, seeds, seedResidue)
+    val residue = seeded(g, seeds, seedResidue)
     val deg     = g.outDegD
     // deg, except −d(u) at a queued node: out-degrees are ≥ 1, so the sign
     // is the flag and |dq(u)| the degree.
@@ -127,9 +134,10 @@ object Push {
     val off     = g.inOff
     val adj     = g.inAdj
     // FIFO of node ids: ring(head & mask) until ring(tail & mask), head and
-    // tail only growing. A repeated seed enters once per copy, so the ring
-    // may need more than n slots.
-    var ring = new Array[Int](ringSize(seeds.length))
+    // tail only growing, in a borrowed ring of any power-of-two size. A
+    // repeated seed enters once per copy, so the ring may need more than n
+    // slots.
+    var ring = g.borrowRing(ringSize(seeds.length))
     var head = 0
     var tail = 0
     var i = 0
@@ -171,11 +179,12 @@ object Push {
       }
     }
     g.returnDegrees(dq)
+    g.returnRing(ring)
     PushResult(est, residue, pushes)
   }
 
-  private def seeded(n: Int, seeds: Array[Int], seedResidue: Array[Double]): Array[Double] = {
-    val residue = new Array[Double](n)
+  private def seeded(g: LocalGraph, seeds: Array[Int], seedResidue: Array[Double]): Array[Double] = {
+    val residue = g.borrowResidue()
     var i = 0
     while (i < seeds.length) { residue(seeds(i)) += seedResidue(i); i += 1 }
     residue

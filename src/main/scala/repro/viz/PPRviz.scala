@@ -145,7 +145,7 @@ object PPRviz {
         val q     = hier.query(level, p, children)
         val rbmax = TauPush.rbmax(q, DefaultEps, delta(k))
         targets.map(i => (level - 1, children(i)) -> (() =>
-          Gbp.aggregate(q, Gbp.credits(hier.g, q.children(i), DefaultAlpha, rbmax).est)))
+          Gbp.run(hier.g, q, i, DefaultAlpha, rbmax)._1))
       }
     }
   }

@@ -12,8 +12,8 @@ object Fixtures {
   def singletons(g: LocalGraph, nodes: Array[Int]): SuperQuery =
     SuperQuery(g, nodes.map(Array(_)))
 
-  /** Algorithm 3 end to end: estimates π̂_d(V_i, V_j) for every child V_i. */
+  /** The estimates of [[Gbp.run]]. */
   def gbpRun(g: LocalGraph, q: SuperQuery, tgtChild: Int, alpha: Double,
              rbmax: Double, deadline: Deadline = Deadline.none): Array[Double] =
-    Gbp.aggregate(q, Gbp.credits(g, q.children(tgtChild), alpha, rbmax, deadline).est)
+    Gbp.run(g, q, tgtChild, alpha, rbmax, deadline)._1
 }

@@ -29,14 +29,19 @@ class PushOracleSpec extends AnyFunSuite {
     log += v; log += doubleToLongBits(r)
   }
 
+  /** One kernel call; with `handBack` the run keeps a copy of the residue
+    * and hands the borrowed one back to the graph dirty.
+    */
   private def viaPush(dir: Dir, g: LocalGraph, seeds: Array[Int], seedResidue: Array[Double],
                       rmax: Double, deadline: Deadline = Deadline.none,
-                      stopAfter: Int = -1): Run = {
+                      stopAfter: Int = -1, handBack: Boolean = false): Run = {
     val est = new Array[Double](g.n)
     val log = ArrayBuffer.empty[Long]
     val kernel = if (dir == Fwd) Push.forward _ else Push.backward _
     val r = kernel(g, seeds, seedResidue, alpha, rmax, deadline, est)(sink(dir, g, est, log, stopAfter))
-    Run(r.est, r.residue, r.rsum, r.pushes, log)
+    val run = Run(r.est, if (handBack) r.residue.clone() else r.residue, r.rsum, r.pushes, log)
+    if (handBack) g.returnResidue(r.residue)
+    run
   }
 
   private def viaReference(dir: Dir, g: LocalGraph, seeds: Array[Int],
@@ -49,8 +54,9 @@ class PushOracleSpec extends AnyFunSuite {
   }
 
   private def sameAsReference(name: String, dir: Dir, g: LocalGraph, seeds: Array[Int],
-                              seedResidue: Array[Double], rmax: Double): Run = {
-    val got = viaPush(dir, g, seeds, seedResidue, rmax)
+                              seedResidue: Array[Double], rmax: Double,
+                              handBack: Boolean = false): Run = {
+    val got = viaPush(dir, g, seeds, seedResidue, rmax, handBack = handBack)
     assertSame(s"$name, $dir, ${seeds.length} seeds, rmax $rmax", got,
       viaReference(dir, g, seeds, seedResidue, rmax))
     got
@@ -159,11 +165,12 @@ class PushOracleSpec extends AnyFunSuite {
   }
 
   /** 64 calls on one graph, forward and backward, seed sets and thresholds
-    * mixed, run through `runAll` (by default `Par.forEach`); each must equal
-    * its reference.
+    * mixed, run through `runAll` (by default `Par.forEach`), each handing its
+    * residue back when `handBack`; each must equal its reference.
     */
   private def parallelCallsMatch(what: String, g: LocalGraph,
-                                 runAll: Int => (Int => Unit) => Unit = Par.forEach(_)): Unit = {
+                                 runAll: Int => (Int => Unit) => Unit = Par.forEach(_),
+                                 handBack: Boolean = false): Unit = {
     val calls = (0 until 64).map { i =>
       val dir   = if (i % 2 == 0) Fwd else Bwd
       val seeds = seedSets(g, 400L + i / 8)(i / 2 % 4)
@@ -176,7 +183,7 @@ class PushOracleSpec extends AnyFunSuite {
     val got = new Array[Run](calls.length)
     runAll(calls.length) { i =>
       val (dir, seeds, rmax) = calls(i)
-      got(i) = viaPush(dir, g, seeds, residues(dir, g, seeds), rmax)
+      got(i) = viaPush(dir, g, seeds, residues(dir, g, seeds), rmax, handBack = handBack)
     }
     calls.indices.foreach { i =>
       val (dir, seeds, rmax) = calls(i)
@@ -186,6 +193,22 @@ class PushOracleSpec extends AnyFunSuite {
 
   test("64 forward and backward calls on one graph across pool threads match the reference") {
     for ((name, g) <- graphs) parallelCallsMatch(s"$name in parallel", g)
+  }
+
+  test("calls after a dirty residue was handed back on the same thread match the reference") {
+    for (((name, g), gi) <- graphs.zipWithIndex) {
+      val Seq(hub, _, group, _) = seedSets(g, 500L + gi)
+      val first = sameAsReference(name, Fwd, g, group, residues(Fwd, g, group), 1e-4, handBack = true)
+      assert(first.residue.count(_ != 0.0) > 100, s"$name: the handed-back residue is nearly clean")
+      sameAsReference(s"$name after a forward call", Bwd, g, group, residues(Bwd, g, group), 1e-4,
+        handBack = true)
+      sameAsReference(s"$name after a backward call", Fwd, g, hub, residues(Fwd, g, hub), 1e-2,
+        handBack = true)
+    }
+  }
+
+  test("64 calls across pool threads that each hand back their residue match the reference") {
+    for ((name, g) <- graphs) parallelCallsMatch(s"$name handing back", g, handBack = true)
   }
 
   /** Runs `body(i)` for every i in `0 until count` on four plain threads,
