@@ -41,19 +41,13 @@ final class LocalGraph private[graph] (
     d
   }
 
-  /** Copies of `outDegD` for the push kernels, which mark queued nodes in a
-    * copy and hand it back equal to `outDegD` bit for bit.
+  /** What the push kernels borrow per call (see [[LocalGraph.Lender]]):
+    * copies of `outDegD`, length-n residues and GBP credit vectors, and
+    * FIFO rings.
     */
   @transient private lazy val degreeCopies = new LocalGraph.Lender[Array[Double]]
-
-  /** Length-n residue vectors for the push kernels (and GBP's credit
-    * vector), which hand them back dirty once their caller no longer reads
-    * them.
-    */
-  @transient private lazy val residues = new LocalGraph.Lender[Array[Double]]
-
-  /** The kernels' FIFO rings, handed back at whatever size they grew to. */
-  @transient private lazy val rings = new LocalGraph.Lender[Array[Int]]
+  @transient private lazy val residues     = new LocalGraph.Lender[Array[Double]]
+  @transient private lazy val rings        = new LocalGraph.Lender[Array[Int]]
 
   /** A copy of `outDegD` that no other caller holds: a kept one or a new
     * clone.
